@@ -6,24 +6,66 @@ new pair per odd step. S starts as everything and shrinks only through
 prune records: a record (m, u*, v*) means any pair whose first string starts
 with u* must have a second string starting with v*. Storing the records
 instead of S itself keeps levels cheap while membership stays exact.
+
+The checkers never walk the 2^n strings of a level. The strings extending a
+prefix w form one range of values (a cylinder), so the at most n seed strings
+and n/2 prune strings cut the level into O(n) ranges on which every question
+asked here has a constant answer; each checker answers once per range.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections import Counter
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from .errors import InvariantViolationError
 
 
+def _word(x: int, n: int) -> str:
+    """The length-n binary string with value x."""
+    return format(x, f"0{n}b") if n else ""
+
+
+def _span(w: str, n: int) -> tuple:
+    """The values of the length-n strings extending w, as a half-open range."""
+    shift = n - len(w)
+    lo = int(w, 2) << shift if w else 0
+    return lo, lo + (1 << shift)
+
+
+def _pieces(n: int, words) -> list:
+    """Cut the values of the length-n strings at both ends of each word's
+    cylinder. Returns (lo, hi, c) per piece: every string with a value in
+    [lo, hi) extends exactly c of the words. Words longer than n extend
+    nothing."""
+    spans = [_span(w, n) for w in words if len(w) <= n]
+    cuts = sorted({0, 1 << n}.union(*spans))
+    return [
+        (lo, hi, sum(a <= lo < b for a, b in spans))
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+
+
 @dataclass(frozen=True)
 class LevelSystem:
+    """Level n of the recursion.
+
+    Invariant: R_n is exactly the equal-bit expansion of the seeds, that is
+    pairs holds (u_k·0·w, v_k·1·w) for every (u_k, v_k) in u_history and
+    every w of length n - 2k - 1. The checkers read the seeds and the prune
+    records only; pairs is kept materialised for callers that list R_n.
+    """
+
     n: int
     pairs: tuple  # sorted (u, v) string pairs
     prunes: tuple  # (m, u_star, v_star) constraints defining S
     u_history: tuple  # (scheduled u_2k, chosen v_2k) per completed odd step
     v_history: tuple  # (scheduled v_2k+1, chosen u_2k+1) per completed even step
+
+    def seeds(self) -> tuple:
+        """(u_k·0, v_k·1) per odd step: the pairs each step adjoined."""
+        return tuple((u + "0", v + "1") for u, v in self.u_history)
 
     def applicable_prunes(self, u: str) -> list:
         return sorted(
@@ -40,6 +82,13 @@ class LevelSystem:
             forced = vs
         return forced
 
+    def _forced_pieces(self):
+        """(lo, hi, forced prefix) over ranges of first-string values that
+        together cover every first string in order."""
+        n = self.n
+        for lo, hi, _ in _pieces(n, [us for _, us, _ in self.prunes]):
+            yield lo, hi, self.forced_prefix(_word(lo, n))
+
     def s_contains(self, u: str, v: str) -> bool:
         return all(
             v[:m] == vs for (m, us, vs) in self.prunes if u[:m] == us
@@ -47,28 +96,29 @@ class LevelSystem:
 
     def s_size(self) -> int:
         total = 0
-        for i in range(1 << self.n):
-            u = format(i, f"0{self.n}b") if self.n else ""
-            forced = self.forced_prefix(u)
+        for lo, hi, forced in self._forced_pieces():
             if forced is not None:
-                total += 1 << (self.n - len(forced))
+                total += (hi - lo) << (self.n - len(forced))
         return total
 
     def s_pairs(self):
         """All of S in sorted order; exponential in the level, meant for
         small-level dumps."""
-        for i in range(1 << self.n):
-            u = format(i, f"0{self.n}b") if self.n else ""
-            forced = self.forced_prefix(u)
+        n = self.n
+        for lo, hi, forced in self._forced_pieces():
             if forced is None:
                 continue
-            free = self.n - len(forced)
-            for j in range(1 << free):
-                tail = format(j, f"0{free}b") if free else ""
-                yield (u, forced + tail)
+            free = n - len(forced)
+            seconds = [forced + _word(j, free) for j in range(1 << free)]
+            for x in range(lo, hi):
+                yield from zip(repeat(_word(x, n)), seconds)
 
-    def first_projection(self) -> set:
-        return {u for (u, _) in self.pairs}
+    def _blocked(self, v: str) -> list:
+        """Prefixes of the first strings that are in the pair projection or
+        that S forbids next to second string v."""
+        return [a for a, _ in self.seeds()] + [
+            us for (m, us, vs) in self.prunes if v[:m] != vs
+        ]
 
 
 def init_level() -> LevelSystem:
@@ -112,31 +162,13 @@ def _odd_step(ls: LevelSystem) -> LevelSystem:
 
 def _pick_u(ls: LevelSystem, v_sched: str) -> str:
     """Least first string outside the pair projection that S allows next to
-    v_sched, found by jumping over whole excluded prefix blocks."""
-    n = ls.n
-    excluded = [
-        (m, us) for (m, us, vs) in ls.prunes if v_sched[:m] != vs
-    ]
-    taken = ls.first_projection()
-    c = 0
-    top = 1 << n
-    while c < top:
-        s = format(c, f"0{n}b") if n else ""
-        jumped = False
-        for m, us in excluded:
-            if s[:m] == us:
-                c = ((c >> (n - m)) + 1) << (n - m)
-                jumped = True
-                break
-        if jumped:
-            continue
-        if s in taken:
-            c += 1
-            continue
-        return s
-    raise InvariantViolationError(
-        f"no first string available for {v_sched!r}"
-    )
+    v_sched."""
+    free = [lo for lo, _, c in _pieces(ls.n, ls._blocked(v_sched)) if not c]
+    if not free:
+        raise InvariantViolationError(
+            f"no first string available for {v_sched!r}"
+        )
+    return _word(free[0], ls.n)
 
 
 def _even_step(ls: LevelSystem) -> LevelSystem:
@@ -172,89 +204,78 @@ def levels(max_n: int):
 
 
 def check_condition1(ls: LevelSystem) -> tuple:
-    """Every first string admits a compatible second string; exhaustive.
-    Returns (ok, failing first strings)."""
-    failing = []
-    for i in range(1 << ls.n):
-        u = format(i, f"0{ls.n}b") if ls.n else ""
-        if ls.forced_prefix(u) is None:
-            failing.append(u)
-    return (not failing, tuple(failing))
+    """Every first string admits a compatible second string. Returns
+    (ok, failing first strings)."""
+    failing = tuple(
+        _word(x, ls.n)
+        for lo, hi, forced in ls._forced_pieces()
+        if forced is None
+        for x in range(lo, hi)
+    )
+    return (not failing, failing)
 
 
 def check_condition2(ls: LevelSystem) -> tuple:
     """Every second string admits a compatible first string outside the pair
-    projection; exhaustive via cylinder counting. Returns (ok, failing)."""
+    projection. Returns (ok, failing second strings)."""
     n = ls.n
-    proj = sorted(int(u, 2) for u in ls.first_projection()) if n else []
-    proj_has_empty = "" in ls.first_projection()
     failing = []
-    for i in range(1 << n):
-        v = format(i, f"0{n}b") if n else ""
-        if n == 0:
-            if proj_has_empty:
-                failing.append(v)
-            continue
-        cylinders = [
-            (m, us) for (m, us, vs) in ls.prunes if v[:m] != vs
-        ]
-        cylinders.sort()
-        kept = []
-        for m, us in cylinders:
-            if any(us[:mk] == uk for mk, uk in kept):
-                continue
-            kept.append((m, us))
-        covered = 0
-        outside_proj = len(proj)
-        for m, us in kept:
-            covered += 1 << (n - m)
-            lo = int(us, 2) << (n - m)
-            hi = lo + (1 << (n - m))
-            outside_proj -= bisect_left(proj, hi) - bisect_left(proj, lo)
-        covered += outside_proj
-        if covered >= 1 << n:
-            failing.append(v)
+    for lo, hi, _ in _pieces(n, [vs for _, _, vs in ls.prunes]):
+        if all(c for _, _, c in _pieces(n, ls._blocked(_word(lo, n)))):
+            failing.extend(_word(x, n) for x in range(lo, hi))
     return (not failing, tuple(failing))
 
 
 def check_acyclic(ls: LevelSystem) -> tuple:
     """The bipartite graph with the pairs as edges is a forest. Returns
-    (ok, witness cycle as alternating (side, string) nodes or None)."""
-    parent: dict = {}
+    (ok, witness cycle as alternating (side, string) nodes or None).
 
-    def find(a):
-        root = a
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(a, a) != a:
-            parent[a], a = root, parent[a]
-        return root
-
-    adj: dict = {}
-    for u, v in ls.pairs:
-        a, b = ("u", u), ("v", v)
-        ra, rb = find(a), find(b)
-        if ra == rb and a in adj:
-            # walk the existing forest path from a to b, then close it
-            prev = {a: None}
-            queue = [a]
-            while queue:
-                x = queue.pop(0)
-                if x == b:
-                    break
-                for y in adj.get(x, ()):
-                    if y not in prev:
-                        prev[y] = x
-                        queue.append(y)
-            path = [b]
-            while path[-1] != a:
-                path.append(prev[path[-1]])
-            path.reverse()
-            return (False, tuple(path))
-        parent[ra] = rb
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
+    Union-find by size over the values of the length-n strings: first
+    string u is node int(u), second string v is node 2^n + int(v), where
+    the empty string of level 0 has value 0. Raises ValueError for a
+    string of another length."""
+    n = ls.n
+    top = 1 << n
+    parent = [-1] * (2 * top)  # a root holds minus the size of its tree
+    for i, (u, v) in enumerate(ls.pairs):
+        if len(u) != n or len(v) != n:
+            raise ValueError(f"pair ({u!r}, {v!r}) is not of length {n}")
+        a = int(u or "0", 2)
+        while parent[a] >= 0:
+            a = parent[a]
+        b = top + int(v or "0", 2)
+        while parent[b] >= 0:
+            b = parent[b]
+        if a == b:
+            return (False, _forest_path(ls.pairs[:i], ("u", u), ("v", v)))
+        if parent[a] > parent[b]:
+            a, b = b, a
+        parent[a] += parent[b]
+        parent[b] = a
     return (True, None)
+
+
+def _forest_path(pairs, a, b) -> tuple:
+    """The path from a to b in the forest whose edges are pairs."""
+    adj: dict = {}
+    for u, v in pairs:
+        adj.setdefault(("u", u), []).append(("v", v))
+        adj.setdefault(("v", v), []).append(("u", u))
+    prev = {a: None}
+    queue = deque([a])
+    while queue:
+        x = queue.popleft()
+        if x == b:
+            break
+        for y in adj.get(x, ()):
+            if y not in prev:
+                prev[y] = x
+                queue.append(y)
+    path = [b]
+    while path[-1] != a:
+        path.append(prev[path[-1]])
+    path.reverse()
+    return tuple(path)
 
 
 @dataclass(frozen=True)
@@ -266,37 +287,52 @@ class SectionReport:
     failing: tuple  # (prefix, best row section, best column section)
 
 
+def _starved_blocks(pieces, k: int, size: int):
+    """Increasing indices j of the aligned blocks [j*size, (j+1)*size) that
+    meet no piece counted k or more."""
+    start = 0  # end of the last piece counted k or more
+    for lo, hi, c in pieces:
+        if c >= k:
+            yield from range(-(-start // size), lo // size)
+            start = hi
+    yield from range(-(-start // size), pieces[-1][1] // size)
+
+
+def _best(pieces, lo: int, hi: int) -> int:
+    return max(c for a, b, c in pieces if a < hi and lo < b)
+
+
 def section_report(ls: LevelSystem, k: int) -> SectionReport:
     """For each prefix length, does every prefix extend to a first string
     with at least k partners (and symmetrically for second strings)?"""
-    row_counts = Counter(u for (u, _) in ls.pairs)
-    col_counts = Counter(v for (_, v) in ls.pairs)
-    best_row: dict = {}
-    best_col: dict = {}
-    for counts, best in ((row_counts, best_row), (col_counts, best_col)):
-        for s, c in counts.items():
-            for ell in range(ls.n + 1):
-                w = s[:ell]
-                if best.get(w, 0) < c:
-                    best[w] = c
+    n = ls.n
+    seeds = ls.seeds()
+    rows = _pieces(n, [a for a, _ in seeds])
+    cols = _pieces(n, [b for _, b in seeds])
     max_passing = -1
     first_failing = ()
-    for ell in range(ls.n + 1):
-        failing = []
-        for i in range(1 << ell):
-            w = format(i, f"0{ell}b") if ell else ""
-            br = best_row.get(w, 0)
-            bc = best_col.get(w, 0)
-            if br < k or bc < k:
-                failing.append((w, br, bc))
+    for ell in range(n + 1):
+        size = 1 << (n - ell)
+        # the first 8 of the union lie among the first 8 of each side
+        failing = sorted(
+            set(islice(_starved_blocks(rows, k, size), 8))
+            | set(islice(_starved_blocks(cols, k, size), 8))
+        )[:8]
         if failing:
-            first_failing = tuple(failing[:8])
+            first_failing = tuple(
+                (
+                    _word(j, ell),
+                    _best(rows, j * size, (j + 1) * size),
+                    _best(cols, j * size, (j + 1) * size),
+                )
+                for j in failing
+            )
             break
         max_passing = ell
     return SectionReport(
-        n=ls.n,
+        n=n,
         k=k,
         max_passing_len=max_passing,
-        codimension=ls.n - max_passing,
+        codimension=n - max_passing,
         failing=first_failing,
     )

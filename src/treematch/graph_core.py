@@ -193,23 +193,6 @@ class FiniteGraph:
         return FiniteGraph.from_edges(len(old), edges), old
 
 
-def degree(g, v):
-    """Degree of v in a FiniteGraph or AutomaticTree."""
-    if isinstance(g, FiniteGraph):
-        if not (0 <= v < g.vertex_count):
-            raise ValueError(f"vertex {v} out of range")
-        return g.degree(v)
-    return g.degree(v)
-
-
-def components(g: FiniteGraph) -> tuple:
-    return g.components()
-
-
-def is_acyclic(g: FiniteGraph) -> bool:
-    return g.is_acyclic()
-
-
 class AutomaticTree:
     """Rooted tree presented by a finite-state branching machine.
 

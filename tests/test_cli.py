@@ -1,5 +1,7 @@
 """Command-line interface: formats, exit codes, and frozen outputs."""
 
+import hashlib
+
 import pytest
 
 from conftest import cli_run
@@ -215,6 +217,15 @@ class TestCounterexample:
         code, out, _ = cli_run(["counterexample", "--levels", "0"])
         assert code == 0
         assert out == "level 0\nS - -\n"
+
+    def test_frozen_dump_at_the_level_cap(self):
+        # 1,028,340 lines, recorded from the exhaustive per-string listing
+        code, out, _ = cli_run(["counterexample", "--levels", "10"])
+        assert code == 0
+        assert out.count("\n") == 1_028_340
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "43ad47103e43caa2f3c5d1541d9414326fc604a6c76bae471db80aec46010118"
+        )
 
     @pytest.mark.parametrize("levels", ["-1", "11"])
     def test_level_bounds(self, levels):

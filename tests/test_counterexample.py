@@ -1,12 +1,17 @@
 """The pair-system recursion on binary strings and its level invariants."""
 
+import dataclasses
 import itertools
 import random
+import time
+from bisect import bisect_left
+from collections import Counter
 
 import pytest
 
 from treematch.counterexample import (
     LevelSystem,
+    SectionReport,
     advance,
     check_acyclic,
     check_condition1,
@@ -51,6 +56,168 @@ def reference_levels(max_n):
                 (u, v) for (u, v) in grown if u != u_p + "0" or v == v_s + "1"
             }
         yield n + 1, frozenset(r_set), frozenset(s_set)
+
+
+# -- exhaustive reference checkers ------------------------------------------
+# These sweep all 2^n strings of a level and read its pairs directly; the
+# library answers the same questions from the seeds and prune records.
+
+
+def words_of(n):
+    for i in range(1 << n):
+        yield format(i, f"0{n}b") if n else ""
+
+
+def ref_s_size(ls):
+    total = 0
+    for u in words_of(ls.n):
+        forced = ls.forced_prefix(u)
+        if forced is not None:
+            total += 1 << (ls.n - len(forced))
+    return total
+
+
+def ref_s_pairs(ls):
+    for u in words_of(ls.n):
+        forced = ls.forced_prefix(u)
+        if forced is None:
+            continue
+        for tail in words_of(ls.n - len(forced)):
+            yield (u, forced + tail)
+
+
+def ref_check_condition1(ls):
+    failing = tuple(u for u in words_of(ls.n) if ls.forced_prefix(u) is None)
+    return (not failing, failing)
+
+
+def ref_check_condition2(ls):
+    n = ls.n
+    first = {u for (u, _) in ls.pairs}
+    proj = sorted(int(u, 2) for u in first) if n else []
+    failing = []
+    for v in words_of(n):
+        if n == 0:
+            if "" in first:
+                failing.append(v)
+            continue
+        cylinders = sorted((m, us) for (m, us, vs) in ls.prunes if v[:m] != vs)
+        kept = []
+        for m, us in cylinders:
+            if any(us[:mk] == uk for mk, uk in kept):
+                continue
+            kept.append((m, us))
+        covered = 0
+        outside_proj = len(proj)
+        for m, us in kept:
+            covered += 1 << (n - m)
+            lo = int(us, 2) << (n - m)
+            hi = lo + (1 << (n - m))
+            outside_proj -= bisect_left(proj, hi) - bisect_left(proj, lo)
+        covered += outside_proj
+        if covered >= 1 << n:
+            failing.append(v)
+    return (not failing, tuple(failing))
+
+
+def ref_check_acyclic(ls):
+    parent = {}
+
+    def find(a):
+        root = a
+        while parent.get(root, root) != root:
+            root = parent[root]
+        while parent.get(a, a) != a:
+            parent[a], a = root, parent[a]
+        return root
+
+    adj = {}
+    for u, v in ls.pairs:
+        a, b = ("u", u), ("v", v)
+        ra, rb = find(a), find(b)
+        if ra == rb and a in adj:
+            prev = {a: None}
+            queue = [a]
+            while queue:
+                x = queue.pop(0)
+                if x == b:
+                    break
+                for y in adj.get(x, ()):
+                    if y not in prev:
+                        prev[y] = x
+                        queue.append(y)
+            path = [b]
+            while path[-1] != a:
+                path.append(prev[path[-1]])
+            path.reverse()
+            return (False, tuple(path))
+        parent[ra] = rb
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    return (True, None)
+
+
+def ref_section_report(ls, k):
+    row_counts = Counter(u for (u, _) in ls.pairs)
+    col_counts = Counter(v for (_, v) in ls.pairs)
+    best_row, best_col = {}, {}
+    for counts, best in ((row_counts, best_row), (col_counts, best_col)):
+        for s, c in counts.items():
+            for ell in range(ls.n + 1):
+                w = s[:ell]
+                if best.get(w, 0) < c:
+                    best[w] = c
+    max_passing = -1
+    first_failing = ()
+    for ell in range(ls.n + 1):
+        failing = []
+        for w in words_of(ell):
+            br = best_row.get(w, 0)
+            bc = best_col.get(w, 0)
+            if br < k or bc < k:
+                failing.append((w, br, bc))
+        if failing:
+            first_failing = tuple(failing[:8])
+            break
+        max_passing = ell
+    return SectionReport(ls.n, k, max_passing, ls.n - max_passing, first_failing)
+
+
+def fabricate(n, u_history, prunes):
+    """A level system whose pairs are the equal-bit expansion of the seeds
+    (u_k·0, v_k·1), as the recursion keeps them."""
+    pairs = [
+        (u + "0" + w, v + "1" + w)
+        for u, v in u_history
+        for w in words_of(n - len(u) - 1)
+    ]
+    return LevelSystem(n, tuple(sorted(pairs)), tuple(prunes), tuple(u_history), ())
+
+
+def random_system(rng, n):
+    u_history = [
+        ("".join(rng.choice("01") for _ in range(2 * k)),
+         "".join(rng.choice("01") for _ in range(2 * k)))
+        for k in range((n + 1) // 2)
+    ]
+    prunes = []
+    for _ in range(rng.randrange(n + 1)):
+        m = rng.randrange(1, n + 1)
+        prunes.append(
+            (m, format(rng.getrandbits(m), f"0{m}b"), format(rng.getrandbits(m), f"0{m}b"))
+        )
+    return fabricate(n, u_history, prunes)
+
+
+def assert_agrees_with_reference(ls, dump=False):
+    assert check_condition1(ls) == ref_check_condition1(ls), ls
+    assert check_condition2(ls) == ref_check_condition2(ls), ls
+    assert check_acyclic(ls) == ref_check_acyclic(ls), ls
+    assert ls.s_size() == ref_s_size(ls), ls
+    for k in (1, 2, 3):
+        assert section_report(ls, k) == ref_section_report(ls, k), (ls, k)
+    if dump:
+        assert list(ls.s_pairs()) == list(ref_s_pairs(ls)), ls
 
 
 class TestFrozenLevels:
@@ -234,3 +401,107 @@ class TestSectionReport:
         for n in range(0, 10):
             for ell in range(0, min(n, 3) + 1):
                 assert passing(produced[n], 1, ell) <= passing(produced[n + 2], 1, ell)
+
+
+class TestAgainstReferenceCheckers:
+    def test_every_level_to_sixteen(self):
+        # |S_n| is about 4^n pairs, so the pair listing is compared in full
+        # up to level 9; the CLI test pins the level-10 dump byte for byte.
+        for ls in levels(16):
+            assert_agrees_with_reference(ls, dump=ls.n <= 9)
+
+    def test_random_systems_keeping_the_seed_invariant(self):
+        rng = random.Random(5)
+        seen = Counter()
+        for _ in range(300):
+            ls = random_system(rng, rng.randrange(8))
+            assert_agrees_with_reference(ls, dump=True)
+            seen["c1"] += not check_condition1(ls)[0]
+            seen["c2"] += not check_condition2(ls)[0]
+        assert seen["c1"] and seen["c2"]
+
+    def test_condition1_failure(self):
+        # (u, v) with u starting 01 must start v with both 0 and 10
+        ls = fabricate(3, [("", "")], [(1, "0", "0"), (2, "01", "10")])
+        ok, failing = check_condition1(ls)
+        assert not ok
+        assert failing == ("010", "011")
+        assert ls.s_size() == 4 * 8 + 2 * 4  # 1**, then 000 and 001
+        assert_agrees_with_reference(ls, dump=True)
+
+    def test_condition2_failure(self):
+        # the only first string outside the projection {0} is 1, and second
+        # strings starting 0 may not pair with it
+        ls = fabricate(1, [("", "")], [(1, "1", "1")])
+        ok, failing = check_condition2(ls)
+        assert not ok
+        assert failing == ("0",)
+        assert check_condition1(ls) == (True, ())
+        assert_agrees_with_reference(ls, dump=True)
+
+    def test_prunes_longer_than_the_level_change_nothing(self):
+        ls = fabricate(3, [("", ""), ("01", "10")], [(2, "10", "01")])
+        longer = dataclasses.replace(ls, prunes=ls.prunes + ((4, "1000", "0000"),))
+        for check in (check_condition1, check_condition2, LevelSystem.s_size,
+                      lambda ls: list(ls.s_pairs())):
+            assert check(longer) == check(ls)
+
+    def test_section_report_stops_at_eight_failing_prefixes(self):
+        # On each side, seeds 2..5 hit one length-3 block each of the half
+        # that seed 0 misses, and seed 1 lies in the half seed 0 covers. So
+        # length 4 is the first to fail, at four prefixes on each side.
+        u_history = [("", ""), ("00", "10"), ("1000", "0000"), ("101000", "001000"),
+                     ("11000000", "01000000"), ("1110000000", "0110000000")]
+        ls = fabricate(11, u_history, [])
+        rep = section_report(ls, 1)
+        assert rep.max_passing_len == 3
+        assert rep.failing == (
+            ("0001", 2, 0), ("0011", 1, 0), ("0101", 1, 0), ("0111", 1, 0),
+            ("1001", 0, 1), ("1011", 0, 2), ("1101", 0, 1), ("1111", 0, 1),
+        )
+        assert rep == ref_section_report(ls, 1)
+
+    def test_cycles_and_their_witnesses(self):
+        # Every system keeping the seed invariant is a forest: each seed
+        # joins the copy of R ending in 0 to the copy ending in 1. Cycles
+        # therefore need pairs outside the invariant.
+        square = LevelSystem(1, (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")), (), (), ())
+        assert check_acyclic(square) == (
+            False,
+            (("u", "1"), ("v", "0"), ("u", "0"), ("v", "1")),
+        )
+        doubled = LevelSystem(2, (("01", "10"), ("01", "10")), (), (), ())
+        assert check_acyclic(doubled) == (False, (("u", "01"), ("v", "10")))
+        hexagon = LevelSystem(
+            2,
+            (("00", "00"), ("00", "01"), ("01", "01"), ("01", "10"), ("10", "10"),
+             ("10", "00"), ("11", "11")),
+            (), (), (),
+        )
+        for ls in (square, doubled, hexagon):
+            assert check_acyclic(ls) == ref_check_acyclic(ls)
+        assert len(check_acyclic(hexagon)[1]) == 6
+
+    def test_acyclicity_checker_rejects_strings_of_another_length(self):
+        # as a node number, "10" would be the second string "0"
+        for pairs in ((("10", "0"),), (("0", "1"), ("1", "01"))):
+            with pytest.raises(ValueError):
+                check_acyclic(LevelSystem(1, pairs, (), (), ()))
+
+
+class TestScaling:
+    def test_level_twenty_checkers_read_no_pairs(self):
+        *_, full = levels(20)
+        bare = dataclasses.replace(full, pairs=())
+        checks = (
+            check_condition1,
+            check_condition2,
+            LevelSystem.s_size,
+            lambda ls: section_report(ls, 1),
+        )
+        start = time.perf_counter()
+        results = [check(bare) for check in checks]
+        elapsed = time.perf_counter() - start
+        assert results == [check(full) for check in checks]
+        assert results[0] == (True, ()) and results[1] == (True, ())
+        assert elapsed < 1.0
