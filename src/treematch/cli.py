@@ -18,6 +18,7 @@ from .counterexample import levels
 from .derivative import DerivativeConflict, derive, derive_window
 from .errors import BudgetExceededError, FormatError, InvariantViolationError
 from .graph_core import (
+    MAX_WINDOW_VERTICES,
     AutomaticTree,
     EndDescriptor,
     FiniteGraph,
@@ -95,6 +96,10 @@ def _parse_tree_text(text: str) -> AutomaticTree:
                 raise FormatError("branch count must be an integer", lineno)
             if k < 0:
                 raise FormatError("branch count must be nonnegative", lineno)
+            if k > MAX_WINDOW_VERTICES:
+                raise FormatError(
+                    f"branch count {k} exceeds the window cap of {MAX_WINDOW_VERTICES}", lineno
+                )
             branch[name] = k
         elif parts[0] == "root":
             if len(parts) != 2:
@@ -185,14 +190,10 @@ def _cmd_match_rooted(args, stats, digest_parts):
     digest_parts.append(f"depth={args.depth}".encode())
     oracle = rooted_matching(t)
     win = t.window(args.depth)
-    m = oracle.restricted_pairs(win.paths)
+    pairs = oracle.restricted_pairs(win.paths)
     stats["vertices"] = len(win.paths)
-    stats["iterations"] = len(m)
-    return (
-        [f"m {render_path(a)} {render_path(b)}" for a, b in m.sorted_pairs()],
-        "ok",
-        0,
-    )
+    stats["iterations"] = len(pairs)
+    return [f"m {render_path(a)} {render_path(b)}" for a, b in pairs], "ok", 0
 
 
 def _cmd_match_ends(args, stats, digest_parts):
@@ -200,17 +201,19 @@ def _cmd_match_ends(args, stats, digest_parts):
     ends = [EndDescriptor.parse(s) for s in args.end]
     digest_parts.append(f"depth={args.depth};ends={','.join(args.end)}".encode())
     out = match_ends(t, ends, budget=args.budget, check_depth=args.depth)
-    win = t.window(args.depth)
+    win = out.window
     kind = out.b_set.kind.replace("_", "-")
     lines = [f"ends {out.n_ends}", f"bset {kind}"]
-    in_b = [v for v in win.paths if out.b_set.contains(v)]
-    for v in sorted(in_b, key=shortlex):
-        lines.append(f"b {render_path(v)}")
-    m = out.oracle.restricted_pairs(v for v in win.paths if not out.b_set.contains(v))
-    for a, b in m.sorted_pairs():
-        lines.append(f"m {render_path(a)} {render_path(b)}")
+    matched = []
+    for v in win.paths:  # shortlex order
+        if out.b_set.contains(v):
+            lines.append(f"b {render_path(v)}")
+        else:
+            matched.append(v)
+    pairs = out.oracle.restricted_pairs(matched)
+    lines.extend(f"m {render_path(a)} {render_path(b)}" for a, b in pairs)
     stats["vertices"] = len(win.paths)
-    stats["iterations"] = len(m)
+    stats["iterations"] = len(pairs)
     return lines, "ok", 0
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graph_core import (
+    MAX_WINDOW_VERTICES,
     AutomaticTree,
     FiniteGraph,
     Matching,
@@ -114,7 +115,7 @@ def derive_window(
     t: AutomaticTree,
     depth: int,
     max_rounds: int | None = None,
-    max_vertices: int | None = 200_000,
+    max_vertices: int | None = MAX_WINDOW_VERTICES,
 ):
     """Run the derivative on a depth-bounded window of an AutomaticTree.
 

@@ -18,6 +18,10 @@ from .errors import BudgetExceededError, FormatError
 TreeVertex = tuple  # tuple[int, ...]
 ROOT: TreeVertex = ()
 
+# Largest window any command builds. It also caps a state's branch count at
+# parse time: a vertex with more children than this fits in no window.
+MAX_WINDOW_VERTICES = 200_000
+
 
 def shortlex(path: TreeVertex) -> tuple:
     """Sort key ordering paths by length, then lexicographically."""
@@ -35,7 +39,7 @@ def render_path(v: TreeVertex) -> str:
     """Render a tree vertex as a /-joined index path; the root is "/"."""
     if not v:
         return "/"
-    return "/".join(str(i) for i in v)
+    return "/".join(map(str, v))
 
 
 def parse_path(text: str) -> TreeVertex:
@@ -231,8 +235,8 @@ class AutomaticTree:
             raise ValueError(f"unreachable states: {sorted(unreachable)}")
         self.root_state = root_state
         self.states = tuple(sorted(branch))
-        self._branch = dict(branch)
-        self._step = dict(step)
+        # state -> the states of its children, by child index
+        self._child_states = {q: tuple(step[(q, i)] for i in range(k)) for q, k in branch.items()}
 
     @classmethod
     def build(cls, root_state: str, branch: dict, step: dict | None = None) -> "AutomaticTree":
@@ -260,33 +264,38 @@ class AutomaticTree:
         return cls(root_state, branch, step)
 
     def branch_of(self, q: str) -> int:
-        return self._branch[q]
+        return len(self._child_states[q])
 
     def step(self, q: str, i: int) -> str:
-        return self._step[(q, i)]
+        row = self._child_states[q]
+        if not (0 <= i < len(row)):
+            raise KeyError((q, i))
+        return row[i]
 
     def state_of(self, v: TreeVertex) -> str:
         q = self.root_state
         for i in v:
-            if not (0 <= i < self._branch[q]):
+            row = self._child_states[q]
+            if not (0 <= i < len(row)):
                 raise ValueError(f"invalid vertex {render_path(v)}")
-            q = self._step[(q, i)]
+            q = row[i]
         return q
 
     def is_valid_vertex(self, v: TreeVertex) -> bool:
         q = self.root_state
         for i in v:
-            if not (0 <= i < self._branch[q]):
+            row = self._child_states[q]
+            if not (0 <= i < len(row)):
                 return False
-            q = self._step[(q, i)]
+            q = row[i]
         return True
 
     def degree(self, v: TreeVertex) -> int:
-        k = self._branch[self.state_of(v)]
+        k = self.branch_of(self.state_of(v))
         return k if v == ROOT else k + 1
 
     def children(self, v: TreeVertex) -> list:
-        return [v + (i,) for i in range(self._branch[self.state_of(v)])]
+        return [v + (i,) for i in range(self.branch_of(self.state_of(v)))]
 
     def parent(self, v: TreeVertex) -> TreeVertex | None:
         return v[:-1] if v else None
@@ -308,45 +317,47 @@ class AutomaticTree:
             k += 1
         return len(u) + len(v) - 2 * k
 
-    def window(self, depth: int, max_vertices: int | None = 200_000) -> "Window":
-        """Induced subgraph on all vertices of path length <= depth."""
+    def window(self, depth: int, max_vertices: int | None = MAX_WINDOW_VERTICES) -> "Window":
+        """All vertices of path length <= depth, in shortlex order."""
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         paths = [ROOT]
         states = [self.root_state]
-        edges = []
         index = {ROOT: 0}
         level_start = 0
         for _ in range(depth):
             level_end = len(paths)
             for pos in range(level_start, level_end):
                 v = paths[pos]
-                q = states[pos]
-                for i in range(self._branch[q]):
+                for i, r in enumerate(self._child_states[states[pos]]):
                     w = v + (i,)
                     index[w] = len(paths)
-                    edges.append((pos, index[w]))
                     paths.append(w)
-                    states.append(self._step[(q, i)])
+                    states.append(r)
                     if max_vertices is not None and len(paths) > max_vertices:
                         raise BudgetExceededError(
                             f"window depth {depth} exceeds {max_vertices} vertices"
                         )
             level_start = level_end
-        graph = FiniteGraph.from_edges(len(paths), edges)
-        return Window(tree=self, depth=depth, graph=graph, paths=tuple(paths), index=index)
+        return Window(tree=self, depth=depth, paths=tuple(paths), index=index)
 
 
 @dataclass(eq=False)
 class Window:
-    """A finite view of an AutomaticTree: depth-bounded induced subgraph plus
-    the label table mapping graph ids back to tree vertices."""
+    """A finite view of an AutomaticTree: the vertices of a depth-bounded
+    window in shortlex order, the table from vertices back to their ids, and
+    (built on first use) the induced subgraph on those ids."""
 
     tree: AutomaticTree
     depth: int
-    graph: FiniteGraph
     paths: tuple
     index: dict
+
+    @cached_property
+    def graph(self) -> FiniteGraph:
+        index = self.index
+        edges = [(index[v[:-1]], i) for i, v in enumerate(self.paths) if v]
+        return FiniteGraph.from_edges(len(self.paths), edges)
 
     def contains(self, v: TreeVertex) -> bool:
         return v in self.index
@@ -361,7 +372,7 @@ class Window:
         return [v for v in self.paths if len(v) == self.depth]
 
 
-def window(t: AutomaticTree, depth: int, max_vertices: int | None = 200_000) -> Window:
+def window(t: AutomaticTree, depth: int, max_vertices: int | None = MAX_WINDOW_VERTICES) -> Window:
     return t.window(depth, max_vertices)
 
 
@@ -383,6 +394,9 @@ class EndDescriptor:
         for i in self.preperiod + self.period:
             if not isinstance(i, int) or i < 0:
                 raise ValueError("indices must be nonnegative integers")
+        # The ray unrolled so far; not a field, so equality, hash and repr
+        # still come from the two index tuples alone.
+        object.__setattr__(self, "_ray", self.preperiod + self.period)
 
     def index(self, i: int) -> int:
         if i < len(self.preperiod):
@@ -390,8 +404,14 @@ class EndDescriptor:
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
     def prefix(self, n: int) -> TreeVertex:
-        """The ray vertex at depth n."""
-        return tuple(self.index(i) for i in range(n))
+        """The ray vertex at depth n: a slice of the unrolled ray, which at
+        least doubles whenever a deeper vertex is asked for."""
+        ray = self._ray
+        if n > len(ray):
+            periods = -(-(max(n, 2 * len(ray)) - len(self.preperiod)) // len(self.period))
+            ray = self.preperiod + self.period * periods
+            object.__setattr__(self, "_ray", ray)
+        return ray[:n]
 
     @classmethod
     def parse(cls, text: str) -> "EndDescriptor":
@@ -442,17 +462,24 @@ def validate_end(t: AutomaticTree, e: EndDescriptor) -> bool:
         i += 1
 
 
+def divergence_length(a: EndDescriptor, b: EndDescriptor) -> int | None:
+    """Depth of the last common vertex of the two rays, or None when both
+    descriptors name the same index sequence. Two eventually periodic
+    sequences that agree on their first pre_a + pre_b + 2*lcm(per_a, per_b)
+    indices agree everywhere, so only that many are compared."""
+    bound = len(a.preperiod) + len(b.preperiod) + 2 * math.lcm(len(a.period), len(b.period))
+    for i, (x, y) in enumerate(zip(a.prefix(bound), b.prefix(bound))):
+        if x != y:
+            return i
+    return None
+
+
 def ends_equivalent(t: AutomaticTree, a: EndDescriptor, b: EndDescriptor) -> bool:
     """True iff the two descriptors name the same infinite index sequence."""
     for e in (a, b):
         if not validate_end(t, e):
             raise ValueError(f"invalid end descriptor {e.render()}")
-    bound = (
-        len(a.preperiod)
-        + len(b.preperiod)
-        + 2 * math.lcm(len(a.period), len(b.period))
-    )
-    return all(a.index(i) == b.index(i) for i in range(bound))
+    return divergence_length(a, b) is None
 
 
 def _descend_ok(t: AutomaticTree) -> set:

@@ -11,7 +11,6 @@ everything hanging off that line to oriented component matchings.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -23,6 +22,8 @@ from .graph_core import (
     FiniteGraph,
     Matching,
     TreeVertex,
+    Window,
+    divergence_length,
     ends_equivalent,
     has_bad_ray,
     render_path,
@@ -56,14 +57,43 @@ class MatchingOracle:
         self._memo[v] = p
         return p
 
-    def restricted_pairs(self, vertices: Iterable) -> Matching:
-        """The matching pairs seen from a finite vertex set (partners may lie
-        outside the set)."""
-        pairs = set()
+    def restricted_pairs(self, vertices: Sequence) -> list:
+        """The matching pairs seen from a finite vertex set, sorted by their
+        shortlex-smaller end (partners may lie outside the set).
+
+        The vertices must lie in the oracle domain and come in strictly
+        increasing shortlex order, as window paths do. One pass emits each
+        pair at its smaller end. A vertex matched twice raises ValueError: a
+        partner inside the set must point back, and no partner outside it
+        may be claimed twice.
+        """
+        members = set(vertices)
+        claimed = set()
+        pairs = []
+        behind = []  # pairs whose smaller end lies outside the set
+        last = None
         for v in vertices:
-            if self.in_domain(v):
-                pairs.add(tuple(sorted((v, self.partner(v)), key=shortlex)))
-        return Matching.of(pairs)
+            key = (len(v), v)
+            if last is not None and key <= last:
+                raise ValueError(f"vertex {v!r} is out of shortlex order")
+            last = key
+            p = self.partner(v)
+            if p == v:
+                raise ValueError(f"loop pair {v!r}")
+            if p in members:
+                if self.partner(p) != v:
+                    raise ValueError(f"vertex {p!r} matched twice")
+            elif p in claimed:
+                raise ValueError(f"vertex {p!r} matched twice")
+            else:
+                claimed.add(p)
+            if key < (len(p), p):
+                pairs.append((v, p))
+            elif p not in members:
+                behind.append((p, v))
+        if behind:
+            pairs = sorted(pairs + behind, key=lambda ab: (shortlex(ab[0]), shortlex(ab[1])))
+        return pairs
 
 
 class _Component:
@@ -73,14 +103,26 @@ class _Component:
     Neighbors of a vertex are ranked children-first (ascending index), then
     the tree parent; child_filter(v, ch) may exclude neighbors to cut the
     component out of the ambient tree. A vertex pairs with its first kept
-    child or with its neighbor toward the component root, depending on the
-    parity of the chain of first-child links above it.
+    neighbor or with its neighbor toward the component root, depending on
+    the parity of the chain of first-kept links above it.
+
+    Each vertex's state, chain parity and first kept neighbor are memoized
+    and worked out from its toward-root neighbor's, so once a vertex is
+    known every neighbor below it costs O(1).
     """
 
     def __init__(self, tree: AutomaticTree, root: TreeVertex, child_filter: Callable | None = None):
         self.tree = tree
         self.root = root
         self.child_filter = child_filter
+        q = tree.root_state
+        self._root_path_states = [q]
+        for i in root:
+            q = tree.step(q, i)
+            self._root_path_states.append(q)
+        # vertex -> (state, chain parity, first kept neighbor: a child index,
+        # -1 for the parent, None for none)
+        self._memo: dict = {}
 
     def toward_root(self, v: TreeVertex) -> TreeVertex | None:
         if v == self.root:
@@ -89,36 +131,66 @@ class _Component:
             return v + (self.root[len(v)],)
         return v[:-1]
 
-    def kept_children(self, v: TreeVertex) -> list:
-        toward = self.toward_root(v)
-        out = [ch for ch in self.tree.children(v) if ch != toward]
-        if v != ROOT and v[:-1] != toward:
-            out.append(v[:-1])
-        if self.child_filter is not None:
-            out = [ch for ch in out if self.child_filter(v, ch)]
-        return out
+    def _first_kept(self, v: TreeVertex, q: str, skip_child: int | None, parent_ok: bool):
+        keep = self.child_filter
+        for i in range(self.tree.branch_of(q)):
+            if i != skip_child and (keep is None or keep(v, v + (i,))):
+                return i
+        if parent_ok and v and (keep is None or keep(v, v[:-1])):
+            return -1
+        return None
 
-    def first_child(self, v: TreeVertex) -> TreeVertex | None:
-        kept = self.kept_children(v)
-        return kept[0] if kept else None
+    def _climb(self, v: TreeVertex) -> tuple:
+        """Memoize v and every vertex between it and the nearest memoized
+        vertex toward the root, nearest first. A loop, not recursion, so a
+        query far from the root works."""
+        memo = self._memo
+        root = self.root
+        depth = len(root)
+        path = []
+        x = v
+        while x not in memo:
+            path.append(x)
+            if x == root:
+                break
+            n = len(x)
+            x = x + (root[n],) if n < depth and root[:n] == x else x[:-1]
+        for y in reversed(path):
+            n = len(y)
+            if n <= depth and root[:n] == y:
+                q = self._root_path_states[n]
+                if n == depth:
+                    memo[y] = (q, 0, self._first_kept(y, q, None, True))
+                    continue
+                _, up_parity, up_first = memo[y + (root[n],)]
+                is_first = up_first == -1
+                first = self._first_kept(y, q, root[n], True)
+            else:
+                up_state, up_parity, up_first = memo[y[:-1]]
+                q = self.tree.step(up_state, y[-1])
+                is_first = up_first == y[-1]
+                first = self._first_kept(y, q, None, False)
+            memo[y] = (q, 1 - up_parity if is_first else 0, first)
+        return memo[v]
 
     def partner(self, v: TreeVertex) -> TreeVertex:
-        r = 0
-        x = v
-        while True:
-            up = self.toward_root(x)
-            if up is None or self.first_child(up) != x:
-                break
-            r += 1
-            x = up
-        if r % 2 == 1:
+        _, parity, first = self._memo.get(v) or self._climb(v)
+        if parity:
             return self.toward_root(v)
-        down = self.first_child(v)
-        if down is None:
+        if first is None:
             raise InvariantViolationError(
                 f"component vertex {render_path(v)} has no child to pair with"
             )
-        return down
+        return v[:-1] if first == -1 else v + (first,)
+
+
+def _common_prefix_len(a: TreeVertex, b: TreeVertex) -> int:
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
 
 
 def _non_root_states(t: AutomaticTree) -> set:
@@ -222,6 +294,7 @@ class EndsOutput:
     oracle: MatchingOracle
     n_ends: int
     note: str = ""
+    window: Window | None = None  # the window match_ends verified
 
 
 class _TailFlags:
@@ -284,6 +357,8 @@ class _OneEndSpine:
         self.cside = _TailFlags(self._c_walk())
         self.root_in_a = t.branch_of(t.root_state) >= 3
         self.cofinal = self.ray.cycle_any and self.cside.cycle_any
+        self._runs: dict = {}  # run interval -> its component
+        self._attached: dict = {}  # first off-spine vertex -> the component below it
 
     def _c_walk(self):
         q = self.t.step(self.t.root_state, self.c_idx)
@@ -299,9 +374,18 @@ class _OneEndSpine:
     def position_of(self, v: TreeVertex) -> int | None:
         if v == self.e.prefix(len(v)):
             return len(v)
-        if v and v[0] == self.c_idx and all(i == 0 for i in v[1:]):
+        if v[0] == self.c_idx and not any(v[1:]):
             return -len(v)
         return None
+
+    def attachment_depth(self, v: TreeVertex) -> int:
+        """Depth of the last spine vertex on the path from the root to v."""
+        if v and v[0] == self.c_idx:
+            k = 1
+            while k < len(v) and v[k] == 0:
+                k += 1
+            return k
+        return _common_prefix_len(v, self.e.prefix(len(v)))
 
     def a_at(self, p: int) -> bool:
         if p == 0:
@@ -355,7 +439,13 @@ class _OneEndSpine:
         return (a, b)
 
     def run_component(self, p: int) -> _Component:
-        a, b = self.run_interval(p)
+        interval = self.run_interval(p)
+        comp = self._runs.get(interval)
+        if comp is None:
+            comp = self._runs[interval] = self._build_run_component(*interval)
+        return comp
+
+    def _build_run_component(self, a: int | None, b: int | None) -> _Component:
         if (a is None or a <= 0) and (b is None or b >= 0):
             w_pos = 0
         elif b is not None and b < 0:
@@ -374,15 +464,17 @@ class _OneEndSpine:
     def partner(self, v: TreeVertex) -> TreeVertex:
         pos = self.position_of(v)
         if pos is None:
-            k = 0
-            while k < len(v) and self.position_of(v[: k + 1]) is not None:
-                k += 1
-            x = v[:k]
-            u = v[: k + 1]
-            x_pos = self.position_of(x)
-            if self.is_aprime(x_pos):
-                return self.run_component(x_pos).partner(v)
-            return _Component(self.t, u, lambda vv, ch, cut=x: ch != cut).partner(v)
+            u = v[: self.attachment_depth(v) + 1]
+            comp = self._attached.get(u)
+            if comp is None:
+                x = u[:-1]
+                x_pos = self.position_of(x)
+                if self.is_aprime(x_pos):
+                    comp = self.run_component(x_pos)
+                else:
+                    comp = _Component(self.t, u, lambda vv, ch: ch != x)
+                self._attached[u] = comp
+            return comp.partner(v)
         if self.a_at(pos):
             if self.n_of(pos) % 2 == 1:
                 return self.run_component(pos).partner(v)
@@ -436,12 +528,7 @@ class _TwoEndLine:
         self.e1 = e1
         self.e2 = e2
         self.budget = budget
-        bound = len(e1.preperiod) + len(e2.preperiod) + 2 * _lcm(len(e1.period), len(e2.period))
-        m_len = None
-        for i in range(bound):
-            if e1.index(i) != e2.index(i):
-                m_len = i
-                break
+        m_len = divergence_length(e1, e2)
         if m_len is None:
             raise ValueError("ends are equivalent")
         self.m_len = m_len
@@ -462,6 +549,8 @@ class _TwoEndLine:
                     parities.add(j % 2)
         self.a_parities = frozenset(parities)
         self.odd_pair = len(parities) >= 2
+        self._closed: dict = {}  # (root, cut) -> hanging component
+        self._line_partner_into: dict = {}  # line vertex -> its first hanging neighbor if selected
 
     def vertex_at(self, pos: int) -> TreeVertex:
         if pos >= 0:
@@ -584,32 +673,37 @@ class _TwoEndLine:
     def attachment(self, v: TreeVertex) -> tuple:
         """(line vertex x, first vertex u on the path from x toward v)."""
         if len(v) >= self.m_len and v[: self.m_len] == self.m:
-            k = self.m_len
-            while k < len(v) and v[k] == self.e1.index(k):
-                k += 1
-            k1 = k
-            k = self.m_len
-            while k < len(v) and v[k] == self.e2.index(k):
-                k += 1
-            k2 = k
-            cut = max(k1, k2)
+            cut = max(
+                _common_prefix_len(v, self.e1.prefix(len(v))),
+                _common_prefix_len(v, self.e2.prefix(len(v))),
+            )
             return v[:cut], v[: cut + 1]
         return self.m, self.m[:-1]
 
+    def line_partner_into(self, x: TreeVertex) -> TreeVertex | None:
+        """The hanging neighbor that line vertex x pairs into, if any."""
+        if x not in self._line_partner_into:
+            x_pos = self.position_of(x)
+            hang = self.hanging_neighbors(x_pos) if self.sel(x_pos) else []
+            self._line_partner_into[x] = hang[0] if hang else None
+        return self._line_partner_into[x]
+
+    def closed_component(self, root: TreeVertex, cut: TreeVertex) -> _Component:
+        """The component of root once its edge to the neighbor cut is
+        removed, built once per (root, cut)."""
+        comp = self._closed.get((root, cut))
+        if comp is None:
+            comp = self._closed[(root, cut)] = _Component(self.t, root, lambda v, ch: ch != cut)
+        return comp
+
     def partner_off_line(self, v: TreeVertex, paired_into_hanging: bool) -> TreeVertex:
         x, u = self.attachment(v)
-        x_pos = self.position_of(x)
-        if paired_into_hanging and self.sel(x_pos):
-            hang = self.hanging_neighbors(x_pos)
-            if hang and u == hang[0]:
-                if v == u:
-                    return x
-                if v[: len(u)] == u:
-                    root2 = v[: len(u) + 1]
-                else:
-                    root2 = u[:-1]
-                return _Component(self.t, root2, lambda vv, ch, cut=u: ch != cut).partner(v)
-        return _Component(self.t, u, lambda vv, ch, cut=x: ch != cut).partner(v)
+        if paired_into_hanging and u == self.line_partner_into(x):
+            if v == u:
+                return x
+            root2 = v[: len(u) + 1] if v[: len(u)] == u else u[:-1]
+            return self.closed_component(root2, u).partner(v)
+        return self.closed_component(u, x).partner(v)
 
     def report(self) -> LineReport:
         sample = []
@@ -631,10 +725,6 @@ class _TwoEndLine:
                 (self.side2.pre, self.side2.period, self.side2.cycle_any),
             ),
         )
-
-
-def _lcm(a: int, b: int) -> int:
-    return math.lcm(a, b)
 
 
 def two_end_matching(
@@ -673,14 +763,6 @@ def two_end_matching(
     return EndsOutput(BSet("line", line.report()), oracle, 2)
 
 
-def _divergence_length(t: AutomaticTree, a: EndDescriptor, b: EndDescriptor) -> int:
-    bound = len(a.preperiod) + len(b.preperiod) + 2 * _lcm(len(a.period), len(b.period))
-    for i in range(bound):
-        if a.index(i) != b.index(i):
-            return i
-    raise ValueError("ends are equivalent")
-
-
 def many_end_matching(t: AutomaticTree, ends: Sequence) -> EndsOutput:
     """Matching for three or more pairwise inequivalent ends: re-root at the
     median of the first three pairwise divergence vertices and match every
@@ -696,9 +778,9 @@ def many_end_matching(t: AutomaticTree, ends: Sequence) -> EndsOutput:
             raise ValueError("ends are not pairwise inequivalent")
     e1, e2, e3 = ends[0], ends[1], ends[2]
     div = [
-        e1.prefix(_divergence_length(t, e1, e2)),
-        e1.prefix(_divergence_length(t, e1, e3)),
-        e2.prefix(_divergence_length(t, e2, e3)),
+        e1.prefix(divergence_length(e1, e2)),
+        e1.prefix(divergence_length(e1, e3)),
+        e2.prefix(divergence_length(e2, e3)),
     ]
     median = None
     for v in div:
@@ -713,14 +795,11 @@ def many_end_matching(t: AutomaticTree, ends: Sequence) -> EndsOutput:
 
 
 def _canonical_end_order(t: AutomaticTree, ends: list) -> list:
+    """Pairwise inequivalent ends sorted by their ray words, compared up to
+    the deepest divergence of any two."""
     if len(ends) <= 1:
         return list(ends)
-    bound = 1
-    for a, b in itertools.combinations(ends, 2):
-        bound = max(
-            bound,
-            len(a.preperiod) + len(b.preperiod) + 2 * _lcm(len(a.period), len(b.period)),
-        )
+    bound = 1 + max(divergence_length(a, b) for a, b in itertools.combinations(ends, 2))
     return sorted(ends, key=lambda e: e.prefix(bound))
 
 
@@ -754,17 +833,18 @@ def match_ends(
     else:
         out = many_end_matching(t, reps)
     out.n_ends = len(reps)
-    verify_ends_output(t, out, check_depth)
+    out.window = verify_ends_output(t, out, check_depth)
     return out
 
 
-def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> None:
+def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> Window:
     """Window check of the structural conclusions: the exceptional set is
     2-regular, spans at most one component, has no two degree->=3 vertices at
-    odd distance, and the matching is a perfect matching off it. Raises
-    InvariantViolationError on failure."""
+    odd distance, and the matching is a perfect matching off it. Returns the
+    window checked; raises InvariantViolationError on failure."""
     win = t.window(depth)
-    flagged = {v for v in win.paths if out.b_set.contains(v)}
+    in_b = out.b_set.contains
+    flagged = {v for v in win.paths if in_b(v)}
     for v in sorted(flagged, key=shortlex):
         inside = sum(1 for w in t.neighbors(v) if out.b_set.contains(w))
         if inside != 2:
@@ -797,28 +877,32 @@ def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> None:
                     f"exceptional vertices {render_path(a)}, {render_path(b)} "
                     "have degree >= 3 and odd distance"
                 )
+    # Window vertices are valid by construction, so the domain predicate is
+    # asked directly.
+    in_domain = out.oracle._in_domain
+    partner = out.oracle.partner
     for v in win.paths:
         if v in flagged:
-            if out.oracle.in_domain(v):
+            if in_domain(v):
                 raise InvariantViolationError(
                     f"exceptional vertex {render_path(v)} is in the oracle domain"
                 )
             continue
-        if not out.oracle.in_domain(v):
+        if not in_domain(v):
             raise InvariantViolationError(
                 f"vertex {render_path(v)} missing from the oracle domain"
             )
-        p = out.oracle.partner(v)
+        p = partner(v)
         shorter, longer = (p, v) if len(p) < len(v) else (v, p)
         if len(longer) != len(shorter) + 1 or longer[: len(shorter)] != shorter:
             raise InvariantViolationError(
                 f"partner of {render_path(v)} is not a tree neighbor: {render_path(p)}"
             )
-        if out.b_set.contains(p):
+        if in_b(p):
             raise InvariantViolationError(
                 f"partner of {render_path(v)} lies in the exceptional set"
             )
-        if out.oracle.partner(p) != v:
+        if partner(p) != v:
             raise InvariantViolationError(
                 f"partner map is not an involution at {render_path(v)}"
             )
@@ -826,3 +910,4 @@ def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> None:
         raise InvariantViolationError(
             "nonempty exceptional set on a tree with no bad ray"
         )
+    return win

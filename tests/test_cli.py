@@ -4,6 +4,8 @@ import hashlib
 
 import pytest
 
+from treematch.presets import BATTERY
+
 from conftest import cli_run
 
 P3 = "graph 3\ne 0 1\ne 1 2\n"
@@ -234,6 +236,54 @@ class TestCounterexample:
         assert err.startswith("error:")
 
 
+def tree_text(t):
+    lines = ["tree"]
+    lines += [f"state {q} branch {t.branch_of(q)}" for q in t.states]
+    lines.append(f"root {t.root_state}")
+    for q in t.states:
+        lines += [f"trans {q} {i} {t.step(q, i)}" for i in range(t.branch_of(q))]
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of the stdout of each depth-10 tree command, recorded before the
+# oracles memoized their answers. Depth 10 reaches the one-end run
+# components and the hanging components of the two-end line, which the
+# depth-3 outputs above do not.
+DEPTH10_SHA256 = {
+    ("three_regular", "match-rooted"): "3a243f3ff21cb92cb46ce55acf68b4a4e9825861db4bc627b0431d9213bdb10d",
+    ("three_regular", "derivative"): "1eee30c8fed424798d26f2f029f0f55e72b2350798ab3be1bf498da8a87234ac",
+    ("three_regular", "|0"): "257e5c11f8fedb4b40757e4ae5d25a3a9c1073723149be3480200fa25ee1661f",
+    ("three_regular", "|0 |1"): "6325e38b0cc73b1315db8dc70d16c701448b007d014ad11029fdab30a0dd83e6",
+    ("three_regular", "|0 |1 2|0"): "d5cca8a84a17aa99fc8df8dbde66f0e4be9340345333ee75cecbbbdfdf8fe0d1",
+    ("odd_comb", "match-rooted"): "3a243f3ff21cb92cb46ce55acf68b4a4e9825861db4bc627b0431d9213bdb10d",
+    ("odd_comb", "derivative"): "1eee30c8fed424798d26f2f029f0f55e72b2350798ab3be1bf498da8a87234ac",
+    ("odd_comb", "|0"): "257e5c11f8fedb4b40757e4ae5d25a3a9c1073723149be3480200fa25ee1661f",
+    ("odd_comb", "|0 1|0"): "213f575b91bea81d90b067cc17570ccf058c87bc38eb3aa5ed2b9518d7a8754f",
+    ("odd_comb", "|0 1|0 2|0"): "d5cca8a84a17aa99fc8df8dbde66f0e4be9340345333ee75cecbbbdfdf8fe0d1",
+    ("even_comb", "match-rooted"): "e7488b0fcd7fff416a0cfc92248e03c0af511f2a73921991259793e789b81e20",
+    ("even_comb", "derivative"): "adc4853fc0e52bb0d69ed92bf84bf2595817619a725778cd60ba6a469864a98f",
+    ("even_comb", "|0"): "d6ca639cd512f732fca114776d293bd742822d8f7f02a84aa7039d6f321ff365",
+    ("even_comb", "|0 1|0"): "9ae4f54ce1b79613efa8d3a5c37e909013329cd41ea877f51df5eb9c32b71bfd",
+    ("even_comb", "|0 1|0 2|0"): "395c00c8385be3085be7cbb965761e461f933877fc82468b14ad6b0c761dc5f5",
+}
+
+
+class TestTreeCommandBytes:
+    @pytest.mark.parametrize("name, command", sorted(DEPTH10_SHA256))
+    def test_depth10_stdout_is_pinned(self, tmp_path, name, command):
+        path = tmp_path / f"{name}.tree"
+        path.write_text(tree_text(BATTERY[name]()))
+        if command in ("match-rooted", "derivative"):
+            argv = [command]
+        else:
+            argv = ["match-ends"]
+            for e in command.split():
+                argv += ["--end", e]
+        code, out, _ = cli_run(argv + ["--tree", str(path), "--depth", "10"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == DEPTH10_SHA256[(name, command)]
+
+
 class TestFormatErrors:
     def test_bad_edge_line_is_located(self, tmp_path):
         bad = tmp_path / "bad.g"
@@ -248,6 +298,16 @@ class TestFormatErrors:
         code, _, err = cli_run(["derivative", "--tree", str(bad)])
         assert code == 2
         assert "unknown state" in err
+
+    def test_branch_count_above_the_window_cap(self, tmp_path):
+        # Rejected while parsing, before any transition table is built.
+        bad = tmp_path / "wide.tree"
+        bad.write_text("tree\nstate a branch 200001\nroot a\n")
+        code, out, err = cli_run(["derivative", "--tree", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: line 2:")
+        assert "window cap" in err
 
     def test_missing_file(self):
         code, _, err = cli_run(["derivative", "--graph", "/nonexistent.g"])

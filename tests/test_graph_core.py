@@ -18,6 +18,7 @@ from treematch import (
     validate_end,
 )
 from treematch.errors import FormatError
+from treematch.graph_core import divergence_length
 from treematch.presets import BAD_RAY_TRUTH, BATTERY, path_graph, star_graph
 
 from conftest import longest_window_bad_path
@@ -154,6 +155,12 @@ class TestAutomaticTree:
                 assert len(win.graph.components()) == 1, name
                 assert len(win.graph.edges) == len(win.paths) - 1, name
 
+    def test_window_paths_are_shortlex_and_graph_is_lazy(self):
+        win = BATTERY["mixed_period"]().window(5)
+        assert list(win.paths) == sorted(win.paths, key=shortlex)
+        assert "graph" not in vars(win)
+        assert len(win.graph.edges) == len(win.paths) - 1
+
     def test_window_ids_round_trip(self):
         win = BATTERY["binary"]().window(3)
         for i, v in enumerate(win.paths):
@@ -202,6 +209,30 @@ class TestEnds:
         e = EndDescriptor.parse("1|0,1")
         assert e.prefix(0) == ROOT
         assert e.prefix(4) == (1, 0, 1, 0)
+
+    def test_prefix_cache_leaves_identity_alone(self):
+        e = EndDescriptor.parse("1|0,1")
+        f = EndDescriptor.parse("1|0,1")
+        assert e.prefix(101) == tuple(e.index(i) for i in range(101))
+        assert e.prefix(7) == (1, 0, 1, 0, 1, 0, 1)
+        assert e == f and hash(e) == hash(f) and repr(e) == repr(f)
+        assert repr(e) == "EndDescriptor(preperiod=(1,), period=(0, 1))"
+
+    def test_divergence_length(self):
+        t = BATTERY["binary"]()
+        es = [
+            EndDescriptor.parse(s)
+            for s in ["|0", "|1", "0|1", "0,1|1", "|0,1", "0,1|0,1", "1|0", "0,0,1|0"]
+        ]
+        assert divergence_length(es[0], es[1]) == 0
+        assert divergence_length(es[0], es[7]) == 2
+        assert divergence_length(es[2], es[3]) is None
+        for a in es:
+            for b in es:
+                d = divergence_length(a, b)
+                assert (d is None) == ends_equivalent(t, a, b)
+                if d is not None:
+                    assert a.prefix(d) == b.prefix(d) and a.index(d) != b.index(d)
 
     def test_validate_end_respects_branching(self):
         t = BATTERY["three_regular"]()

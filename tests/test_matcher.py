@@ -4,6 +4,7 @@ import pytest
 
 from treematch import AutomaticTree, EndDescriptor, Matching, ROOT, has_bad_ray, shortlex
 from treematch.matcher import (
+    MatchingOracle,
     bijection_graph_matching,
     many_end_matching,
     match_ends,
@@ -248,6 +249,70 @@ class TestMatchEnds:
             match_ends(battery["binary"], [])
         with pytest.raises(ValueError):
             match_ends(battery["binary"], parse_ends(["|2"]))
+
+
+def fresh_constructions(t, name):
+    """(label, build) for every construction the battery tree supports. Each
+    build() returns a new oracle, with an empty memo, and its exceptional-set
+    predicate."""
+    out = [("rooted", lambda: (rooted_matching(t), lambda v: False))]
+    for ends in battery_ends(name) if name in BATTERY_ENDS else []:
+        def build(ends=ends):
+            if len(ends) == 1:
+                res = one_end_matching(t, ends[0])
+            elif len(ends) == 2:
+                res = two_end_matching(t, *ends)
+            else:
+                res = many_end_matching(t, ends)
+            return res.oracle, res.b_set.contains
+
+        out.append((f"{len(ends)} ends", build))
+    return out
+
+
+class TestMemoizedPartners:
+    @pytest.mark.parametrize("name", sorted(BATTERY))
+    def test_deepest_first_queries_agree(self, battery, name):
+        t = battery[name]
+        win = t.window(8)
+        for label, build in fresh_constructions(t, name):
+            forward, excluded = build()
+            backward, _ = build()
+            members = [v for v in win.paths if not excluded(v)]
+            deepest_first = {v: backward.partner(v) for v in reversed(members)}
+            assert {v: forward.partner(v) for v in members} == deepest_first, (name, label)
+            checked = check_window_matching(t, backward, 8, excluded=excluded)
+            assert checked == len(members), (name, label)
+
+    def test_deep_pointwise_query(self):
+        # Far beyond the recursion limit: the memo is filled by a loop.
+        o = rooted_matching(BATTERY["binary"]())
+        assert o.partner((0,) * 3000) == (0,) * 3001
+
+    def test_render_pass_matches_the_sorted_matching(self, battery):
+        for name, t in battery.items():
+            o = rooted_matching(t)
+            # Leaving out the root makes the pair at (0,) end outside the set
+            # on its shortlex-smaller side.
+            members = t.window(5).paths[1:]
+            expected = Matching.of(
+                tuple(sorted((v, o.partner(v)), key=shortlex)) for v in members
+            ).sorted_pairs()
+            assert o.restricted_pairs(members) == expected, name
+
+    def test_render_pass_rejects_a_non_involution(self):
+        t = BATTERY["binary"]()
+        down = MatchingOracle(t, lambda v: True, lambda v: v + (0,), "always down")
+        with pytest.raises(ValueError, match="matched twice"):
+            down.restricted_pairs(t.window(3).paths)
+        up = MatchingOracle(t, lambda v: True, lambda v: v[:-1], "always up")
+        with pytest.raises(ValueError, match="matched twice"):
+            up.restricted_pairs([(0,), (1,)])
+
+    def test_render_pass_needs_shortlex_order(self):
+        o = rooted_matching(BATTERY["binary"]())
+        with pytest.raises(ValueError, match="shortlex"):
+            o.restricted_pairs([(0,), ROOT])
 
 
 def closed_truncation_agrees_with_oracle(t, oracle, excluded=None):
