@@ -49,8 +49,12 @@ class SweepResult:
     remainder: RemainderReport
 
 
-def _complement_degree(t: AutomaticTree, v: TreeVertex, removed) -> int:
-    return sum(1 for w in t.neighbors(v) if w not in removed)
+def _complement_degree(t: AutomaticTree, v: TreeVertex, removed, q: str | None = None) -> int:
+    """Degree of v outside removed; q, if given, is v's state."""
+    if q is None:
+        q = t.state_of(v)
+    free = sum(1 for i in range(t.branch_of(q)) if v + (i,) not in removed)
+    return free + 1 if v and v[:-1] not in removed else free
 
 
 def closure(
@@ -117,43 +121,37 @@ def _boundary(t: AutomaticTree, s_set, removed) -> list:
     return sorted(out, key=shortlex)
 
 
-def _longest_bad_path(
-    t: AutomaticTree, start: TreeVertex, parity: int, blocked, cap: int
-) -> int:
-    """Length in vertices of the longest injective path of non-blocked
-    vertices from start whose positions congruent to parity mod 2 have
-    complement degree exactly two, truncated at cap. Prefix-closedness makes
-    this the exact cutoff witness: paths of every shorter length exist."""
+def _bad_paths(t: AutomaticTree, start: TreeVertex, parity: int, blocked, max_len: int):
+    """Every injective path of non-blocked vertices from start, of at most
+    max_len vertices, whose positions congruent to parity mod 2 have
+    complement degree exactly two. Depth-first, neighbors in t.neighbors
+    order, each path yielded as it grows (one list, extended in place);
+    the search is iterative, so long paths do not recurse."""
 
     def deg_ok(v, i):
-        if i % 2 != parity:
-            return True
-        return _complement_degree(t, v, blocked) == 2
+        return i % 2 != parity or _complement_degree(t, v, blocked) == 2
 
     if not deg_ok(start, 0):
-        return 0
-    best = 1
+        return
+    path = [start]
     on_path = {start}
-    stack = [(start, iter(t.neighbors(start)))]
+
+    def neighbors_to_try(v):
+        return iter(t.neighbors(v)) if len(path) < max_len else iter(())
+
+    stack = [neighbors_to_try(start)]
+    yield path
     while stack:
-        if best >= cap:
-            return cap
-        tail, it = stack[-1]
-        advanced = False
-        for w in it:
-            if w in on_path or w in blocked:
-                continue
-            if not deg_ok(w, len(stack)):
-                continue
-            on_path.add(w)
-            stack.append((w, iter(t.neighbors(w))))
-            best = max(best, len(stack))
-            advanced = True
-            break
-        if not advanced:
+        for w in stack[-1]:
+            if w not in on_path and w not in blocked and deg_ok(w, len(path)):
+                path.append(w)
+                on_path.add(w)
+                stack.append(neighbors_to_try(w))
+                yield path
+                break
+        else:
             stack.pop()
-            on_path.discard(tail)
-    return best
+            on_path.discard(path.pop())
 
 
 def _buffer_info(
@@ -164,17 +162,18 @@ def _buffer_info(
     blocked = frozenset(s_set) | frozenset(removed)
     boundary = _boundary(t, s_set, removed)
     max_n = 1
+    # Bad paths are prefix-closed, so the longest one from z is the exact
+    # cutoff: paths of every shorter length exist too.
     for z in boundary:
-        longest = max(
-            _longest_bad_path(t, z, p, blocked, budget) for p in (0, 1)
-        )
-        if longest >= budget:
-            raise BudgetExceededError(
-                f"no bad-path cutoff below {budget} at {render_path(z)}; "
-                "this is evidence of a bad ray",
-                frontier=(z,),
-            )
-        max_n = max(max_n, longest + 1)
+        for parity in (0, 1):
+            for path in _bad_paths(t, z, parity, blocked, budget):
+                if len(path) >= budget:
+                    raise BudgetExceededError(
+                        f"no bad-path cutoff below {budget} at {render_path(z)}; "
+                        "this is evidence of a bad ray",
+                        frontier=(z,),
+                    )
+                max_n = max(max_n, len(path) + 1)
     t_set = set(s_set)
     layer = list(boundary)
     t_set.update(layer)
@@ -212,18 +211,25 @@ def _verify_remainder(
     max_path: int = 12,
 ) -> RemainderReport:
     win = t.window(check_depth)
-    degree_violations = []
-    for v in win.paths:
-        if v in removed_all:
-            continue
-        if _complement_degree(t, v, removed_all) < 2:
-            degree_violations.append(v)
+    degree_violations = [
+        v
+        for v, q in zip(win.paths, win.states)
+        if v not in removed_all and _complement_degree(t, v, removed_all, q) < 2
+    ]
+    # A witness is the first bad path from a frontier vertex of S, searched
+    # parity 0 first, whose last vertex lies outside T.
     crossing = []
     for pair in kept:
         for z in pair.frontier:
             if z in removed_all:
                 continue
-            witness = _crossing_path(t, z, pair.t_set, removed_all, max_path)
+            escapes = (
+                tuple(path)
+                for parity in (0, 1)
+                for path in _bad_paths(t, z, parity, removed_all, max_path)
+                if path[-1] not in pair.t_set
+            )
+            witness = next(escapes, None)
             if witness is not None:
                 crossing.append((pair.seed, witness))
     return RemainderReport(
@@ -233,45 +239,6 @@ def _verify_remainder(
         checked_pairs=len(kept),
         window_size=len(win.paths),
     )
-
-
-def _crossing_path(t: AutomaticTree, start, t_set, removed, max_path) -> tuple | None:
-    """Injective degree-alternating complement path from a boundary vertex of
-    S that escapes T, if one exists within max_path vertices."""
-    for parity in (0, 1):
-        path = [start]
-        on_path = {start}
-
-        def deg_ok(v, i):
-            if i % 2 != parity:
-                return True
-            return _complement_degree(t, v, removed) == 2
-
-        if not deg_ok(start, 0):
-            continue
-
-        def extend(i):
-            if path[-1] not in t_set:
-                return True
-            if i >= max_path:
-                return False
-            tail = path[-1]
-            for w in t.neighbors(tail):
-                if w in on_path or w in removed:
-                    continue
-                if not deg_ok(w, i):
-                    continue
-                path.append(w)
-                on_path.add(w)
-                if extend(i + 1):
-                    return True
-                path.pop()
-                on_path.discard(w)
-            return False
-
-        if extend(1):
-            return tuple(path)
-    return None
 
 
 def sweep_step(

@@ -320,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, depth_default=None):
-        sp.add_argument("--budget", type=int, default=10_000)
         sp.add_argument("--out", default=None, help="write primary output to this file")
         if depth_default is not None:
             sp.add_argument("--depth", type=int, default=depth_default)
@@ -338,6 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
     me = sub.add_parser("match-ends", help="end-based matching with exceptional-set report")
     me.add_argument("--tree", required=True)
     me.add_argument("--end", action="append", required=True, help="end descriptor, repeatable")
+    me.add_argument("--budget", type=int, default=10_000)
     common(me, depth_default=6)
 
     sd = sub.add_parser("subdivide", help="edge subdivision of a finite graph")
@@ -347,6 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bs = sub.add_parser("baire-sweep", help="closure/buffer sweep around seed vertices")
     bs.add_argument("--tree", required=True)
     bs.add_argument("--seed", action="append", required=True, help="seed path, repeatable")
+    bs.add_argument("--budget", type=int, default=10_000)
     common(bs, depth_default=8)
 
     ce = sub.add_parser("counterexample", help="dump levels of the pair-system recursion")

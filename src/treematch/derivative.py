@@ -15,11 +15,10 @@ from typing import Callable
 
 from .graph_core import (
     MAX_WINDOW_VERTICES,
+    ROOT,
     AutomaticTree,
     FiniteGraph,
     Matching,
-    TreeVertex,
-    Window,
     _vertex_key,
 )
 
@@ -126,19 +125,28 @@ def derive_window(
     if depth < 2:
         raise ValueError("window derivative needs depth >= 2")
     win = t.window(depth, max_vertices)
-    nbrs = {
-        v: tuple(win.paths[w] for w in win.graph.neighbors(win.index[v]))
-        for v in win.paths
-    }
-    outside = {
-        v: (t.branch_of(t.state_of(v)) if len(v) == depth else 0) for v in win.paths
-    }
+    # Each vertex's neighbors in window order, which decides a forced
+    # vertex's partner: its parent, then its children, which are the next
+    # branch_of(state) window paths not yet taken.
+    nbrs = {ROOT: ()}
+    outside = {}  # boundary vertex -> its child count; all lie beyond the window
+    taken = 1
+    for v, q in zip(win.paths, win.states):
+        k = t.branch_of(q)
+        if len(v) == depth:
+            outside[v] = k
+            continue
+        children = win.paths[taken : taken + k]
+        taken += k
+        nbrs[v] += children
+        for w in children:
+            nbrs[w] = (v,)
 
     def alive_neighbors(v, x_set):
         return [w for w in nbrs[v] if w in x_set]
 
     def outside_count(v):
-        return outside[v]
+        return outside.get(v, 0)
 
     def outside_partner(v):
         # Only called when v has exactly one neighbor overall and it lies

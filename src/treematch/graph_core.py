@@ -9,9 +9,9 @@ are tuples of child indices; the root is the empty tuple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 from .errors import BudgetExceededError, FormatError
 
@@ -197,6 +197,23 @@ class FiniteGraph:
         return FiniteGraph.from_edges(len(old), edges), old
 
 
+def _reachable(root_state: str, branch: dict, step: dict) -> set:
+    """The states reachable from root_state, walking every transition of a
+    reached state; a transition to an undeclared state raises ValueError."""
+    reachable = {root_state}
+    todo = [root_state]
+    while todo:
+        q = todo.pop()
+        for i in range(branch[q]):
+            r = step[(q, i)]
+            if r not in branch:
+                raise ValueError(f"transition ({q!r}, {i}) leads to unknown state")
+            if r not in reachable:
+                reachable.add(r)
+                todo.append(r)
+    return reachable
+
+
 class AutomaticTree:
     """Rooted tree presented by a finite-state branching machine.
 
@@ -221,22 +238,15 @@ class AutomaticTree:
         for (q, i) in step:
             if q not in branch or not (0 <= i < branch[q]):
                 raise ValueError(f"transition ({q!r}, {i}) outside declared domain")
-        reachable = {root_state}
-        todo = [root_state]
-        while todo:
-            q = todo.pop()
-            for i in range(branch[q]):
-                r = step[(q, i)]
-                if r not in reachable:
-                    reachable.add(r)
-                    todo.append(r)
-        unreachable = set(branch) - reachable
+        unreachable = set(branch) - _reachable(root_state, branch, step)
         if unreachable:
             raise ValueError(f"unreachable states: {sorted(unreachable)}")
         self.root_state = root_state
         self.states = tuple(sorted(branch))
         # state -> the states of its children, by child index
         self._child_states = {q: tuple(step[(q, i)] for i in range(k)) for q, k in branch.items()}
+        # the states a child can have: every state but possibly the root's
+        self.non_root_states = frozenset(r for row in self._child_states.values() for r in row)
 
     @classmethod
     def build(cls, root_state: str, branch: dict, step: dict | None = None) -> "AutomaticTree":
@@ -248,17 +258,7 @@ class AutomaticTree:
                 step.setdefault((q, i), q)
         if root_state not in branch:
             raise ValueError(f"root state {root_state!r} has no branch entry")
-        reachable = {root_state}
-        todo = [root_state]
-        while todo:
-            q = todo.pop()
-            for i in range(branch[q]):
-                r = step[(q, i)]
-                if r not in branch:
-                    raise ValueError(f"transition ({q!r}, {i}) leads to unknown state")
-                if r not in reachable:
-                    reachable.add(r)
-                    todo.append(r)
+        reachable = _reachable(root_state, branch, step)
         branch = {q: k for q, k in branch.items() if q in reachable}
         step = {(q, i): r for (q, i), r in step.items() if q in reachable}
         return cls(root_state, branch, step)
@@ -323,61 +323,34 @@ class AutomaticTree:
             raise ValueError("depth must be nonnegative")
         paths = [ROOT]
         states = [self.root_state]
-        index = {ROOT: 0}
         level_start = 0
         for _ in range(depth):
             level_end = len(paths)
             for pos in range(level_start, level_end):
                 v = paths[pos]
                 for i, r in enumerate(self._child_states[states[pos]]):
-                    w = v + (i,)
-                    index[w] = len(paths)
-                    paths.append(w)
+                    paths.append(v + (i,))
                     states.append(r)
                     if max_vertices is not None and len(paths) > max_vertices:
                         raise BudgetExceededError(
                             f"window depth {depth} exceeds {max_vertices} vertices"
                         )
             level_start = level_end
-        return Window(tree=self, depth=depth, paths=tuple(paths), index=index)
+        return Window(tree=self, depth=depth, paths=tuple(paths), states=tuple(states))
 
 
 @dataclass(eq=False)
 class Window:
-    """A finite view of an AutomaticTree: the vertices of a depth-bounded
-    window in shortlex order, the table from vertices back to their ids, and
-    (built on first use) the induced subgraph on those ids."""
+    """A finite view of an AutomaticTree: the vertices of path length at most
+    depth in shortlex order, and each vertex's machine state at the same
+    position. Shortlex order lists a level's vertices by parent, in the
+    parents' order, so the children of each vertex above the boundary level
+    sit next to each other in index order."""
 
     tree: AutomaticTree
     depth: int
     paths: tuple
-    index: dict
-
-    @cached_property
-    def graph(self) -> FiniteGraph:
-        index = self.index
-        edges = [(index[v[:-1]], i) for i, v in enumerate(self.paths) if v]
-        return FiniteGraph.from_edges(len(self.paths), edges)
-
-    def contains(self, v: TreeVertex) -> bool:
-        return v in self.index
-
-    def id_of(self, v: TreeVertex) -> int:
-        return self.index[v]
-
-    def path_of(self, i: int) -> TreeVertex:
-        return self.paths[i]
-
-    def boundary_paths(self) -> list:
-        return [v for v in self.paths if len(v) == self.depth]
-
-
-def window(t: AutomaticTree, depth: int, max_vertices: int | None = MAX_WINDOW_VERTICES) -> Window:
-    return t.window(depth, max_vertices)
-
-
-def tree_distance(t: AutomaticTree, u: TreeVertex, v: TreeVertex) -> int:
-    return t.tree_distance(u, v)
+    states: tuple
 
 
 @dataclass(frozen=True)
@@ -515,7 +488,7 @@ def has_bad_ray(t: AutomaticTree) -> bool:
     """
     descend = _descend_ok(t)
     root = t.root_state
-    non_root = {t.step(q, i) for q in t.states for i in range(t.branch_of(q))}
+    non_root = t.non_root_states
 
     # k = 0, ray starts at the root and descends.
     if t.branch_of(root) == 2 and any(

@@ -2,10 +2,13 @@
 
 All constructions answer pointwise partner queries: an oracle holds a domain
 predicate and a partner function, and totality/involution are only ever
-checked on finite windows. The end-based constructions classify each queried
-vertex against a distinguished doubly infinite line (the "spine" through the
-root for one end, the line spanned by the two rays for two ends) and delegate
-everything hanging off that line to oriented component matchings.
+checked on finite windows. The one- and two-end constructions classify each
+queried vertex against a doubly infinite line spanned by two rays, and
+delegate everything hanging off that line to oriented component matchings.
+One class, _Line, holds that line's coordinates for both. For two ends the
+rays are the given ends; for one end they are the end and the leftmost
+descent from the lowest root child off it, so the line runs through the
+root. The subclasses add only their partner rules.
 """
 
 from __future__ import annotations
@@ -193,14 +196,10 @@ def _common_prefix_len(a: TreeVertex, b: TreeVertex) -> int:
     return n
 
 
-def _non_root_states(t: AutomaticTree) -> set:
-    return {t.step(q, i) for q in t.states for i in range(t.branch_of(q))}
-
-
 def _require_min_degree_two(t: AutomaticTree) -> None:
     if t.branch_of(t.root_state) < 2:
         raise ValueError("root degree below two")
-    for q in sorted(_non_root_states(t)):
+    for q in sorted(t.non_root_states):
         if t.branch_of(q) < 1:
             raise ValueError(f"state {q!r} gives degree-one vertices")
 
@@ -342,74 +341,104 @@ def _ray_flag_walk(t: AutomaticTree, e: EndDescriptor, start_depth: int):
         yield ((q, phase), t.branch_of(q) >= 2)
 
 
-class _OneEndSpine:
-    """Coordinates along the doubly infinite orbit through the root used by
-    the one-end construction: the chosen end's ray on the nonnegative side
-    and the leftmost descent from the other lowest root child on the
-    negative side."""
+class _Line:
+    """Signed coordinates along the doubly infinite line spanned by two
+    inequivalent ends: their divergence vertex m at 0, the first end's tail
+    on the negative side, the second end's on the positive side. Positions
+    whose vertex has a neighbor off the line are flagged; _scan walks to the
+    next flagged one within the budget, or returns None when its side has
+    none left."""
 
-    def __init__(self, t: AutomaticTree, e: EndDescriptor, budget: int):
+    def __init__(self, t: AutomaticTree, e1: EndDescriptor, e2: EndDescriptor, budget: int):
         self.t = t
-        self.e = e
+        self.e1 = e1
+        self.e2 = e2
         self.budget = budget
-        self.c_idx = 1 if e.index(0) == 0 else 0
-        self.ray = _TailFlags(_ray_flag_walk(t, e, 0))
-        self.cside = _TailFlags(self._c_walk())
-        self.root_in_a = t.branch_of(t.root_state) >= 3
-        self.cofinal = self.ray.cycle_any and self.cside.cycle_any
-        self._runs: dict = {}  # run interval -> its component
-        self._attached: dict = {}  # first off-spine vertex -> the component below it
+        m_len = divergence_length(e1, e2)
+        if m_len is None:
+            raise ValueError("ends are equivalent")
+        self.m_len = m_len
+        self.m = e1.prefix(m_len)
+        self._e1_turn = e1.index(m_len)  # the first end's index below m
+        self.side1 = _TailFlags(_ray_flag_walk(t, e1, m_len))
+        self.side2 = _TailFlags(_ray_flag_walk(t, e2, m_len))
+        state_m = t.state_of(self.m)
+        if self.m == ROOT:
+            self.a0 = t.branch_of(state_m) >= 3
+        else:
+            self.a0 = t.branch_of(state_m) >= 2
+        self._closed: dict = {}  # (root, cut) -> the component matching root's side
 
-    def _c_walk(self):
-        q = self.t.step(self.t.root_state, self.c_idx)
-        while True:
-            yield (q, self.t.branch_of(q) >= 2)
-            q = self.t.step(q, 0)
-
-    def vertex_at(self, p: int) -> TreeVertex:
-        if p >= 0:
-            return self.e.prefix(p)
-        return (self.c_idx,) + (0,) * (-p - 1)
+    def vertex_at(self, pos: int) -> TreeVertex:
+        if pos >= 0:
+            return self.e2.prefix(self.m_len + pos) if pos else self.m
+        return self.e1.prefix(self.m_len - pos)
 
     def position_of(self, v: TreeVertex) -> int | None:
-        if v == self.e.prefix(len(v)):
-            return len(v)
-        if v[0] == self.c_idx and not any(v[1:]):
-            return -len(v)
-        return None
+        n = len(v)
+        if n <= self.m_len:
+            return 0 if v == self.m else None
+        # Past m the index at depth m_len tells which ray v can be on.
+        if v[self.m_len] == self._e1_turn:
+            return self.m_len - n if v == self.e1.prefix(n) else None
+        return n - self.m_len if v == self.e2.prefix(n) else None
 
-    def attachment_depth(self, v: TreeVertex) -> int:
-        """Depth of the last spine vertex on the path from the root to v."""
-        if v and v[0] == self.c_idx:
-            k = 1
-            while k < len(v) and v[k] == 0:
-                k += 1
-            return k
-        return _common_prefix_len(v, self.e.prefix(len(v)))
+    def a_at(self, pos: int) -> bool:
+        if pos == 0:
+            return self.a0
+        if pos > 0:
+            return self.side2.flag(pos)
+        return self.side1.flag(-pos)
 
-    def a_at(self, p: int) -> bool:
-        if p == 0:
-            return self.root_in_a
-        if p > 0:
-            return self.ray.flag(p)
-        return self.cside.flag(-p)
-
-    def _scan(self, p: int, step: int) -> int:
-        q = p + step
+    def _scan(self, pos: int, step: int) -> int | None:
+        side = self.side2 if step > 0 else self.side1
+        q = pos + step
         for _ in range(self.budget):
+            j = q * step  # tail coordinate once past the divergence vertex
+            if j > 0 and not side.cycle_any and (side.last is None or j > side.last):
+                return None
             if self.a_at(q):
                 return q
             q += step
         raise BudgetExceededError(
-            f"budget exceeded walking the spine from {render_path(self.vertex_at(p))}",
-            frontier=(self.vertex_at(p),),
+            f"budget exceeded walking the line from {render_path(self.vertex_at(pos))}",
+            frontier=(self.vertex_at(pos),),
         )
 
-    def next_a(self, p: int) -> int:
-        return self._scan(p, 1)
+    def next_a(self, pos: int) -> int | None:
+        return self._scan(pos, 1)
 
-    def prev_a(self, p: int) -> int:
-        return self._scan(p, -1)
+    def prev_a(self, pos: int) -> int | None:
+        return self._scan(pos, -1)
+
+    def attachment(self, v: TreeVertex) -> tuple:
+        """(line vertex x, first vertex u on the path from x toward v)."""
+        if len(v) > self.m_len:
+            e = self.e1 if v[self.m_len] == self._e1_turn else self.e2
+            cut = _common_prefix_len(v, e.prefix(len(v)))
+            if cut >= self.m_len:
+                return v[:cut], v[: cut + 1]
+        return self.m, self.m[:-1]
+
+    def closed_component(self, root: TreeVertex, cut: TreeVertex) -> _Component:
+        """The component of root once its edge to the neighbor cut is
+        removed, built once per (root, cut)."""
+        comp = self._closed.get((root, cut))
+        if comp is None:
+            comp = self._closed[(root, cut)] = _Component(self.t, root, lambda v, ch: ch != cut)
+        return comp
+
+
+class _OneEndSpine(_Line):
+    """The one-end construction's line through the root: the leftmost
+    descent (c)|0 from the lowest root child c off the chosen end, then the
+    end itself, so the root sits at position 0."""
+
+    def __init__(self, t: AutomaticTree, e: EndDescriptor, budget: int):
+        c_idx = 1 if e.index(0) == 0 else 0
+        super().__init__(t, EndDescriptor((c_idx,), (0,)), e, budget)
+        self.cofinal = self.side1.cycle_any and self.side2.cycle_any
+        self._runs: dict = {}  # run interval -> its component
 
     def n_of(self, p: int) -> int:
         return self.next_a(p) - p
@@ -424,13 +453,13 @@ class _OneEndSpine:
         a = p
         while self.a_at(a - 1):
             a -= 1
-            if a - 1 < 0 and self.cside.cycle_all and (a - 1) <= -(self.cside.pre + 1):
+            if a - 1 < 0 and self.side1.cycle_all and (a - 1) <= -(self.side1.pre + 1):
                 a = None
                 break
         b_raw = p
         while b_raw is not None and self.a_at(b_raw + 1):
             b_raw += 1
-            if b_raw + 1 > 0 and self.ray.cycle_all and (b_raw + 1) >= self.ray.pre + 1:
+            if b_raw + 1 > 0 and self.side2.cycle_all and (b_raw + 1) >= self.side2.pre + 1:
                 b_raw = None
         if b_raw is None:
             b = None
@@ -464,16 +493,16 @@ class _OneEndSpine:
     def partner(self, v: TreeVertex) -> TreeVertex:
         pos = self.position_of(v)
         if pos is None:
-            u = v[: self.attachment_depth(v) + 1]
-            comp = self._attached.get(u)
+            x, u = self.attachment(v)
+            # A subtree hanging at an odd-gap branching vertex joins that
+            # vertex's run component; the answer is cached with the rest.
+            comp = self._closed.get((u, x))
             if comp is None:
-                x = u[:-1]
                 x_pos = self.position_of(x)
                 if self.is_aprime(x_pos):
-                    comp = self.run_component(x_pos)
+                    comp = self._closed[(u, x)] = self.run_component(x_pos)
                 else:
-                    comp = _Component(self.t, u, lambda vv, ch: ch != x)
-                self._attached[u] = comp
+                    comp = self.closed_component(u, x)
             return comp.partner(v)
         if self.a_at(pos):
             if self.n_of(pos) % 2 == 1:
@@ -490,7 +519,7 @@ class _OneEndSpine:
 def _is_bare_line(t: AutomaticTree) -> bool:
     if t.branch_of(t.root_state) != 2:
         return False
-    return all(t.branch_of(q) == 1 for q in _non_root_states(t))
+    return all(t.branch_of(q) == 1 for q in t.non_root_states)
 
 
 def one_end_matching(t: AutomaticTree, e: EndDescriptor, budget: int = 100_000) -> EndsOutput:
@@ -518,28 +547,12 @@ def one_end_matching(t: AutomaticTree, e: EndDescriptor, budget: int = 100_000) 
     return EndsOutput(BSet("empty"), oracle, 1)
 
 
-class _TwoEndLine:
-    """The doubly infinite line spanned by two inequivalent ends, in signed
-    coordinates: the divergence vertex at 0, the first end's tail on the
-    negative side, the second end's on the positive side."""
+class _TwoEndLine(_Line):
+    """The two-end construction's line, with the parities of its flagged
+    positions: an odd pair of them lets the line itself be matched."""
 
     def __init__(self, t: AutomaticTree, e1: EndDescriptor, e2: EndDescriptor, budget: int):
-        self.t = t
-        self.e1 = e1
-        self.e2 = e2
-        self.budget = budget
-        m_len = divergence_length(e1, e2)
-        if m_len is None:
-            raise ValueError("ends are equivalent")
-        self.m_len = m_len
-        self.m = e1.prefix(m_len)
-        self.side1 = _TailFlags(_ray_flag_walk(t, e1, m_len))
-        self.side2 = _TailFlags(_ray_flag_walk(t, e2, m_len))
-        state_m = t.state_of(self.m)
-        if self.m == ROOT:
-            self.a0 = t.branch_of(state_m) >= 3
-        else:
-            self.a0 = t.branch_of(state_m) >= 2
+        super().__init__(t, e1, e2, budget)
         parities = set()
         if self.a0:
             parities.add(0)
@@ -549,52 +562,7 @@ class _TwoEndLine:
                     parities.add(j % 2)
         self.a_parities = frozenset(parities)
         self.odd_pair = len(parities) >= 2
-        self._closed: dict = {}  # (root, cut) -> hanging component
         self._line_partner_into: dict = {}  # line vertex -> its first hanging neighbor if selected
-
-    def vertex_at(self, pos: int) -> TreeVertex:
-        if pos >= 0:
-            return self.e2.prefix(self.m_len + pos) if pos else self.m
-        return self.e1.prefix(self.m_len - pos)
-
-    def position_of(self, v: TreeVertex) -> int | None:
-        if len(v) < self.m_len or v[: self.m_len] != self.m:
-            return None
-        if len(v) == self.m_len:
-            return 0
-        if v == self.e1.prefix(len(v)):
-            return -(len(v) - self.m_len)
-        if v == self.e2.prefix(len(v)):
-            return len(v) - self.m_len
-        return None
-
-    def a_at(self, pos: int) -> bool:
-        if pos == 0:
-            return self.a0
-        if pos > 0:
-            return self.side2.flag(pos)
-        return self.side1.flag(-pos)
-
-    def _scan(self, pos: int, step: int) -> int | None:
-        side = self.side2 if step > 0 else self.side1
-        q = pos + step
-        for _ in range(self.budget):
-            j = q * step  # tail coordinate once past the divergence vertex
-            if j > 0 and not side.cycle_any and (side.last is None or j > side.last):
-                return None
-            if self.a_at(q):
-                return q
-            q += step
-        raise BudgetExceededError(
-            f"budget exceeded walking the line from {render_path(self.vertex_at(pos))}",
-            frontier=(self.vertex_at(pos),),
-        )
-
-    def next_a(self, pos: int) -> int | None:
-        return self._scan(pos, 1)
-
-    def prev_a(self, pos: int) -> int | None:
-        return self._scan(pos, -1)
 
     def sel(self, pos: int) -> bool:
         """Selected branching vertices: the first-end-side endpoint of every
@@ -670,16 +638,6 @@ class _TwoEndLine:
         r = s2 - pos
         return self.vertex_at(pos - 1 if r % 2 == 1 else pos + 1)
 
-    def attachment(self, v: TreeVertex) -> tuple:
-        """(line vertex x, first vertex u on the path from x toward v)."""
-        if len(v) >= self.m_len and v[: self.m_len] == self.m:
-            cut = max(
-                _common_prefix_len(v, self.e1.prefix(len(v))),
-                _common_prefix_len(v, self.e2.prefix(len(v))),
-            )
-            return v[:cut], v[: cut + 1]
-        return self.m, self.m[:-1]
-
     def line_partner_into(self, x: TreeVertex) -> TreeVertex | None:
         """The hanging neighbor that line vertex x pairs into, if any."""
         if x not in self._line_partner_into:
@@ -687,14 +645,6 @@ class _TwoEndLine:
             hang = self.hanging_neighbors(x_pos) if self.sel(x_pos) else []
             self._line_partner_into[x] = hang[0] if hang else None
         return self._line_partner_into[x]
-
-    def closed_component(self, root: TreeVertex, cut: TreeVertex) -> _Component:
-        """The component of root once its edge to the neighbor cut is
-        removed, built once per (root, cut)."""
-        comp = self._closed.get((root, cut))
-        if comp is None:
-            comp = self._closed[(root, cut)] = _Component(self.t, root, lambda v, ch: ch != cut)
-        return comp
 
     def partner_off_line(self, v: TreeVertex, paired_into_hanging: bool) -> TreeVertex:
         x, u = self.attachment(v)

@@ -3,7 +3,7 @@
 import pytest
 
 from treematch import Matching, ROOT
-from treematch.baire import buffer, closure, sweep_step
+from treematch.baire import ClosurePair, _buffer_info, _verify_remainder, buffer, closure, sweep_step
 from treematch.errors import BudgetExceededError, InvariantViolationError
 from treematch.oracle import has_perfect_matching
 
@@ -79,6 +79,72 @@ class TestBuffer:
         s, _ = closure(t, ROOT)
         t_set = buffer(t, s)
         assert s <= t_set
+
+
+def ball(t, s_set, radius):
+    """s_set plus every vertex within the given distance of it."""
+    out = set(s_set)
+    layer = list(s_set)
+    for _ in range(radius):
+        nxt = []
+        for v in layer:
+            for w in t.neighbors(v):
+                if w not in out:
+                    out.add(w)
+                    nxt.append(w)
+        layer = nxt
+    return frozenset(out)
+
+
+class TestCrossingWitness:
+    """A buffer thinner than the certified radius lets a degree-alternating
+    path escape; the remainder check names it. The witness tuples were
+    recorded while the crossing search was still its own recursive function."""
+
+    def remainder(self, t, seed, radius, max_path=12):
+        s, m = closure(t, seed)
+        _, certified, boundary = _buffer_info(t, s)
+        pair = ClosurePair(seed, s, ball(t, s, radius), m, boundary, certified)
+        return _verify_remainder(t, (pair,), s, frozenset(), 4, max_path=max_path)
+
+    def test_t_set_equal_to_s_set(self, battery):
+        rep = self.remainder(battery["three_regular"], ROOT, 0)
+        assert rep.crossing_witnesses == (
+            (ROOT, ((1,),)),
+            (ROOT, ((2,),)),
+            (ROOT, ((0, 0),)),
+            (ROOT, ((0, 1),)),
+        )
+        assert rep.degree_violations == ()
+        assert not rep.clean
+
+    def test_one_layer_buffer(self, battery):
+        rep = self.remainder(battery["mixed_period"], (0, 0), 1)
+        assert rep.crossing_witnesses == (
+            ((0, 0), ((0,), (0, 1))),
+            ((0, 0), ((0, 0, 1), (0, 0, 1, 0))),
+            ((0, 0), ((0, 0, 2), (0, 0, 2, 0))),
+            ((0, 0), ((0, 0, 0, 1), (0, 0, 0, 1, 0))),
+        )
+
+    def test_path_through_the_root(self, battery):
+        t = battery["mixed_period"]
+        assert self.remainder(t, (0, 0), 2).crossing_witnesses == (
+            ((0, 0), ((0,), ROOT, (1,))),
+        )
+        assert self.remainder(t, (0, 0), 2, max_path=3).crossing_witnesses == (
+            ((0, 0), ((0,), ROOT, (1,))),
+        )
+        # The only escape has three vertices.
+        assert self.remainder(t, (0, 0), 2, max_path=2).clean
+
+    def test_certified_radius_is_clean(self, battery):
+        for name, seed in (("mixed_period", (0, 0)), ("three_regular", ROOT)):
+            t = battery[name]
+            s, _ = closure(t, seed)
+            t_set, certified, _ = _buffer_info(t, s)
+            assert ball(t, s, certified) == t_set, name
+            assert self.remainder(t, seed, certified).clean, name
 
 
 class TestSweepStep:

@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from treematch.presets import BATTERY
+from treematch.presets import BATTERY, BATTERY_ENDS
 
 from conftest import cli_run
 
@@ -284,6 +284,65 @@ class TestTreeCommandBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == DEPTH10_SHA256[(name, command)]
 
 
+# sha256 of the stdout of match-ends at depth 8 for every battery end group
+# on the trees the depth-10 pins leave out, and of baire-sweep at its default
+# depth for two seed sets, recorded while the one-end spine and the two-end
+# line still kept separate coordinates and baire.py two bad-path searches.
+ENDS_DEPTH8_SHA256 = {
+    ("line", "|0"): "d259eb33154fa62c992800a6e6741cd05c4cf1d412ea9ec59270e9fcc3d47994",
+    ("line", "|0 1|0"): "0e47212674f15e7a67a2d52945ced6a4b6ff77eea5965c4d18a0687362cfa38f",
+    ("binary", "|0"): "595a4dd036633c74e94037be984f4e3b89bbdce6dd2f2646bb8450917d8ff08c",
+    ("binary", "|0 |1"): "6b4e3bc71f86a00eb2bd3530d1fd6a6ecfe264b29ebdef460031d4ef19c9fea0",
+    ("binary", "|0 |1 0,1|0"): "3a634ee086c0ba76f1bc4623e407dd523b74adca7e3a19ad2920c6fc3484c31d",
+    ("mixed_period", "|0"): "ff48cf4ce1744eda8672f080f7eec49b41278ffaf41f78be7735b141203666a7",
+    ("mixed_period", "|0 1|0"): "911654f94f44aa0b675858fc7bd5ae705677b445142df5889b15b3e398120d86",
+    ("mixed_period", "|0 1|0 0,1|0"): "052944435bc163ad5d95890104ea8e760aaacc85d2dbfa4877ba795a7f99f5e8",
+    ("ray_comb", "|0"): "595a4dd036633c74e94037be984f4e3b89bbdce6dd2f2646bb8450917d8ff08c",
+}
+SWEEP_SEEDS = {
+    "near": ("/", "0/0/0"),
+    "spread": ("1/0", "0/1/1", "0/0/0/0/0", "1/1/1/1"),
+}
+SWEEP_SHA256 = {
+    ("three_regular", "near"): "d94f5dc04d3de213d7fa72eec0f58183fdb0d988d38acbad0417e2ee92957989",
+    ("three_regular", "spread"): "0673cc1d2ef4270d737ee8f7237466dba37a95f0e7766e1fc031d7d0bb8e7987",
+    ("odd_comb", "near"): "d94f5dc04d3de213d7fa72eec0f58183fdb0d988d38acbad0417e2ee92957989",
+    ("odd_comb", "spread"): "0673cc1d2ef4270d737ee8f7237466dba37a95f0e7766e1fc031d7d0bb8e7987",
+    ("mixed_period", "near"): "df65f7b806940246c243f6a36ad5e84dc8ee9d9df00e8823bf49f24b3dcee0ab",
+    ("mixed_period", "spread"): "f322cbafa7d708d4b3d6b5f428970ead2a2d2fadd0037903267e0798e448a542",
+}
+
+
+class TestBatteryBytes:
+    @pytest.mark.parametrize("name, ends", sorted(ENDS_DEPTH8_SHA256))
+    def test_match_ends_depth8_stdout_is_pinned(self, tmp_path, name, ends):
+        path = tmp_path / f"{name}.tree"
+        path.write_text(tree_text(BATTERY[name]()))
+        argv = ["match-ends", "--tree", str(path), "--depth", "8"]
+        for e in ends.split():
+            argv += ["--end", e]
+        code, out, _ = cli_run(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ENDS_DEPTH8_SHA256[(name, ends)]
+
+    def test_every_battery_end_group_is_pinned(self):
+        for name in ("line", "binary", "mixed_period", "ray_comb"):
+            for group in BATTERY_ENDS[name]:
+                assert (name, " ".join(group)) in ENDS_DEPTH8_SHA256
+
+    @pytest.mark.parametrize("name, seeds", sorted(SWEEP_SHA256))
+    def test_baire_sweep_stdout_is_pinned(self, tmp_path, name, seeds):
+        path = tmp_path / f"{name}.tree"
+        path.write_text(tree_text(BATTERY[name]()))
+        argv = ["baire-sweep", "--tree", str(path)]
+        for s in SWEEP_SEEDS[seeds]:
+            argv += ["--seed", s]
+        code, out, _ = cli_run(argv)
+        assert code == 0
+        assert out.endswith("remainder-degree ok\nremainder-crossing ok\n")
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256[(name, seeds)]
+
+
 class TestFormatErrors:
     def test_bad_edge_line_is_located(self, tmp_path):
         bad = tmp_path / "bad.g"
@@ -317,6 +376,23 @@ class TestFormatErrors:
     def test_usage_errors(self):
         assert cli_run(["not-a-command"])[0] == 2
         assert cli_run([])[0] == 2
+
+    def test_budget_only_where_it_is_used(self, files):
+        # Only match-ends and baire-sweep have a budget to spend.
+        code, out, err = cli_run(["derivative", "--graph", files["p4.g"], "--budget", "5"])
+        assert code == 2
+        assert out == ""
+        assert "--budget" in err
+        for argv in (
+            ["match-rooted", "--tree", files["t3.tree"]],
+            ["subdivide", "--graph", files["p3.g"]],
+            ["counterexample"],
+        ):
+            assert cli_run(argv + ["--budget", "5"])[0] == 2, argv
+        code, _, _ = cli_run(
+            ["match-ends", "--tree", files["t3.tree"], "--end", "|0", "--budget", "5"]
+        )
+        assert code == 0
 
 
 class TestOutputFile:

@@ -14,14 +14,13 @@ from treematch import (
     parse_path,
     render_path,
     shortlex,
-    tree_distance,
     validate_end,
 )
 from treematch.errors import FormatError
 from treematch.graph_core import divergence_length
 from treematch.presets import BAD_RAY_TRUTH, BATTERY, path_graph, star_graph
 
-from conftest import longest_window_bad_path
+from conftest import induced_tree_graph, longest_window_bad_path
 
 paths = st.lists(st.integers(min_value=0, max_value=9), max_size=8).map(tuple)
 
@@ -135,46 +134,69 @@ class TestAutomaticTree:
 
     def test_tree_distance(self):
         t = BATTERY["three_regular"]()
-        assert tree_distance(t, (0, 1), (0, 1)) == 0
-        assert tree_distance(t, ROOT, (0, 1)) == 2
-        assert tree_distance(t, (0,), (1, 1)) == 3
+        assert t.tree_distance((0, 1), (0, 1)) == 0
+        assert t.tree_distance(ROOT, (0, 1)) == 2
+        assert t.tree_distance((0,), (1, 1)) == 3
 
     def test_window_sizes(self):
         t = BATTERY["three_regular"]()
         for depth, n_vertices, n_edges in [(0, 1, 0), (1, 4, 3), (3, 22, 21)]:
             win = t.window(depth)
             assert len(win.paths) == n_vertices
-            assert len(win.graph.edges) == n_edges
+            assert len(induced_tree_graph(t, win.paths)[0].edges) == n_edges
 
     def test_window_graph_is_tree(self):
         for name, build in BATTERY.items():
             t = build()
             for depth in range(5):
-                win = t.window(depth)
-                assert win.graph.is_acyclic(), name
-                assert len(win.graph.components()) == 1, name
-                assert len(win.graph.edges) == len(win.paths) - 1, name
+                graph, _ = induced_tree_graph(t, t.window(depth).paths)
+                assert graph.is_acyclic(), name
+                assert len(graph.components()) == 1, name
+                assert len(graph.edges) == graph.vertex_count - 1, name
 
-    def test_window_paths_are_shortlex_and_graph_is_lazy(self):
+    def test_window_paths_are_shortlex_and_keep_states(self):
         win = BATTERY["mixed_period"]().window(5)
         assert list(win.paths) == sorted(win.paths, key=shortlex)
-        assert "graph" not in vars(win)
-        assert len(win.graph.edges) == len(win.paths) - 1
+        assert set(vars(win)) == {"tree", "depth", "paths", "states"}
 
-    def test_window_ids_round_trip(self):
-        win = BATTERY["binary"]().window(3)
+    def test_window_states_are_the_machine_states(self):
+        for name, build in BATTERY.items():
+            t = build()
+            win = t.window(5)
+            assert len(win.states) == len(win.paths), name
+            for i, v in enumerate(win.paths):
+                assert win.states[i] == t.state_of(v), (name, v)
+
+    def test_window_children_are_consecutive(self):
+        # derive_window lists each vertex's children as one slice of paths.
+        for name, build in BATTERY.items():
+            t = build()
+            win = t.window(4)
+            nxt = 1
+            for v, q in zip(win.paths, win.states):
+                if len(v) < win.depth:
+                    k = t.branch_of(q)
+                    assert win.paths[nxt : nxt + k] == tuple(t.children(v)), (name, v)
+                    nxt += k
+            assert nxt == len(win.paths), name
+
+    def test_window_ids_follow_shortlex(self):
+        t = BATTERY["binary"]()
+        win = t.window(3)
+        graph, order = induced_tree_graph(t, win.paths)
+        assert order == list(win.paths)
         for i, v in enumerate(win.paths):
-            assert win.id_of(v) == i
-            assert win.path_of(i) == v
-        assert all(len(v) == 3 for v in win.boundary_paths())
+            if v:
+                assert (order.index(v[:-1]), i) in graph.edges
+        assert tuple(v for v in win.paths if len(v) == 3) == win.paths[-8:]
 
     def test_window_degree_matches_tree_degree_in_interior(self):
         for name, build in BATTERY.items():
             t = build()
-            win = t.window(4)
-            for v in win.paths:
+            graph, order = induced_tree_graph(t, t.window(4).paths)
+            for i, v in enumerate(order):
                 if len(v) <= 3:
-                    assert win.graph.degree(win.id_of(v)) == t.degree(v), (name, v)
+                    assert graph.degree(i) == t.degree(v), (name, v)
 
     def test_build_fills_self_loops(self):
         t = AutomaticTree.build("a", {"a": 2})

@@ -323,7 +323,7 @@ def closed_truncation_agrees_with_oracle(t, oracle, excluded=None):
     depth = None
     for d in range(10, 2, -1):
         win = t.window(d)
-        if len(win.paths) + len(win.boundary_paths()) <= 40:
+        if len(win.paths) + sum(1 for v in win.paths if len(v) == d) <= 40:
             depth = d
             break
     assert depth is not None, "no window small enough for enumeration"
