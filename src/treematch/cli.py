@@ -160,7 +160,7 @@ def _cmd_derivative(args, stats, digest_parts):
         result = derive_window(t, args.depth)
         label = render_path
         sort_key = shortlex
-        stats["vertices"] = len(result.trace[0]) if result.trace else 0
+        stats["vertices"] = result.trace[0]
     if isinstance(result, DerivativeConflict):
         stats["iterations"] = result.stage
         lines = [
@@ -201,19 +201,12 @@ def _cmd_match_ends(args, stats, digest_parts):
     ends = [EndDescriptor.parse(s) for s in args.end]
     digest_parts.append(f"depth={args.depth};ends={','.join(args.end)}".encode())
     out = match_ends(t, ends, budget=args.budget, check_depth=args.depth)
-    win = out.window
     kind = out.b_set.kind.replace("_", "-")
     lines = [f"ends {out.n_ends}", f"bset {kind}"]
-    matched = []
-    for v in win.paths:  # shortlex order
-        if out.b_set.contains(v):
-            lines.append(f"b {render_path(v)}")
-        else:
-            matched.append(v)
-    pairs = out.oracle.restricted_pairs(matched)
-    lines.extend(f"m {render_path(a)} {render_path(b)}" for a, b in pairs)
-    stats["vertices"] = len(win.paths)
-    stats["iterations"] = len(pairs)
+    lines.extend(f"b {render_path(v)}" for v in out.b_vertices)
+    lines.extend(f"m {render_path(a)} {render_path(b)}" for a, b in out.pairs)
+    stats["vertices"] = out.window_size
+    stats["iterations"] = len(out.pairs)
     return lines, "ok", 0
 
 

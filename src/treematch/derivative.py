@@ -27,7 +27,7 @@ from .graph_core import (
 class DerivativeResult:
     core: frozenset
     forced: Matching
-    trace: tuple
+    trace: tuple  # stage sizes, the input's first
     stabilized: bool
     rounds: int
 
@@ -38,7 +38,7 @@ class DerivativeConflict:
     vertex: object
     partners: tuple
     stage: int
-    trace: tuple
+    trace: tuple  # stage sizes, the input's first
 
 
 def _run(
@@ -49,7 +49,7 @@ def _run(
     max_rounds: int | None,
 ):
     x_set = set(start)
-    trace = [frozenset(x_set)]
+    trace = [len(x_set)]
     pairs = []
     rounds = 0
     while True:
@@ -94,10 +94,10 @@ def _run(
             if partner[v] not in removed or _vertex_key(v) < _vertex_key(partner[v]):
                 pairs.append((v, partner[v]))
         x_odd = x_set - removed
-        trace.append(frozenset(x_odd))
+        trace.append(len(x_odd))
         even_removed = {partner[v] for v in removed if partner[v] in x_odd}
         x_set = x_odd - even_removed
-        trace.append(frozenset(x_set))
+        trace.append(len(x_set))
 
 
 def derive(g: FiniteGraph, max_rounds: int | None = None):

@@ -124,9 +124,6 @@ class Matching:
                 raise ValueError(f"invalid vertex {render_path(child)}")
 
 
-EMPTY_MATCHING = Matching(frozenset())
-
-
 @dataclass(frozen=True)
 class FiniteGraph:
     """Simple undirected graph: vertices 0..vertex_count-1, canonical edge pairs."""

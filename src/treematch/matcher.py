@@ -25,7 +25,6 @@ from .graph_core import (
     FiniteGraph,
     Matching,
     TreeVertex,
-    Window,
     divergence_length,
     ends_equivalent,
     has_bad_ray,
@@ -293,7 +292,11 @@ class EndsOutput:
     oracle: MatchingOracle
     n_ends: int
     note: str = ""
-    window: Window | None = None  # the window match_ends verified
+    # What match_ends verified: the window size, B's window vertices in
+    # shortlex order, and the pairs seen from the rest of the window.
+    window_size: int = 0
+    b_vertices: tuple = ()
+    pairs: Sequence = ()
 
 
 class _TailFlags:
@@ -412,13 +415,21 @@ class _Line:
         return self._scan(pos, -1)
 
     def attachment(self, v: TreeVertex) -> tuple:
-        """(line vertex x, first vertex u on the path from x toward v)."""
-        if len(v) > self.m_len:
-            e = self.e1 if v[self.m_len] == self._e1_turn else self.e2
-            cut = _common_prefix_len(v, e.prefix(len(v)))
-            if cut >= self.m_len:
-                return v[:cut], v[: cut + 1]
-        return self.m, self.m[:-1]
+        """(position of the line vertex x nearest v, x, first vertex u on the
+        path from x toward v), with u None when v is on the line. One
+        comparison with a ray answers both."""
+        n = len(v)
+        m_len = self.m_len
+        if n > m_len:
+            on_e1 = v[m_len] == self._e1_turn
+            ray = (self.e1 if on_e1 else self.e2).prefix(n)
+            cut = n if v == ray else _common_prefix_len(v, ray)
+            if cut >= m_len:
+                pos = m_len - cut if on_e1 else cut - m_len
+                return pos, v[:cut], v[: cut + 1] if cut < n else None
+        elif v == self.m:
+            return 0, v, None
+        return 0, self.m, self.m[:-1]
 
     def closed_component(self, root: TreeVertex, cut: TreeVertex) -> _Component:
         """The component of root once its edge to the neighbor cut is
@@ -491,16 +502,14 @@ class _OneEndSpine(_Line):
         return _Component(self.t, self.vertex_at(w_pos), keep)
 
     def partner(self, v: TreeVertex) -> TreeVertex:
-        pos = self.position_of(v)
-        if pos is None:
-            x, u = self.attachment(v)
+        pos, x, u = self.attachment(v)
+        if u is not None:
             # A subtree hanging at an odd-gap branching vertex joins that
             # vertex's run component; the answer is cached with the rest.
             comp = self._closed.get((u, x))
             if comp is None:
-                x_pos = self.position_of(x)
-                if self.is_aprime(x_pos):
-                    comp = self._closed[(u, x)] = self.run_component(x_pos)
+                if self.is_aprime(pos):
+                    comp = self._closed[(u, x)] = self.run_component(pos)
                 else:
                     comp = self.closed_component(u, x)
             return comp.partner(v)
@@ -638,17 +647,19 @@ class _TwoEndLine(_Line):
         r = s2 - pos
         return self.vertex_at(pos - 1 if r % 2 == 1 else pos + 1)
 
-    def line_partner_into(self, x: TreeVertex) -> TreeVertex | None:
-        """The hanging neighbor that line vertex x pairs into, if any."""
+    def line_partner_into(self, x: TreeVertex, x_pos: int) -> TreeVertex | None:
+        """The hanging neighbor that line vertex x, at x_pos, pairs into, if any."""
         if x not in self._line_partner_into:
-            x_pos = self.position_of(x)
             hang = self.hanging_neighbors(x_pos) if self.sel(x_pos) else []
             self._line_partner_into[x] = hang[0] if hang else None
         return self._line_partner_into[x]
 
-    def partner_off_line(self, v: TreeVertex, paired_into_hanging: bool) -> TreeVertex:
-        x, u = self.attachment(v)
-        if paired_into_hanging and u == self.line_partner_into(x):
+    def partner(self, v: TreeVertex) -> TreeVertex:
+        """Without an odd pair, only vertices off the line are asked."""
+        pos, x, u = self.attachment(v)
+        if u is None:
+            return self.partner_on_line(pos)
+        if self.odd_pair and u == self.line_partner_into(x, pos):
             if v == u:
                 return x
             root2 = v[: len(u) + 1] if v[: len(u)] == u else u[:-1]
@@ -695,20 +706,10 @@ def two_end_matching(
             raise ValueError(f"invalid end descriptor {e.render()}")
     line = _TwoEndLine(t, e1, e2, budget)
     if line.odd_pair:
-        def partner(v, line=line):
-            pos = line.position_of(v)
-            if pos is not None:
-                return line.partner_on_line(pos)
-            return line.partner_off_line(v, paired_into_hanging=True)
-
-        oracle = MatchingOracle(t, lambda v: True, partner, "two-end full")
+        oracle = MatchingOracle(t, lambda v: True, line.partner, "two-end full")
         return EndsOutput(BSet("empty"), oracle, 2)
-
-    def partner(v, line=line):
-        return line.partner_off_line(v, paired_into_hanging=False)
-
     oracle = MatchingOracle(
-        t, lambda v, line=line: line.position_of(v) is None, partner, "two-end off-line"
+        t, lambda v: line.position_of(v) is None, line.partner, "two-end off-line"
     )
     return EndsOutput(BSet("line", line.report()), oracle, 2)
 
@@ -783,81 +784,74 @@ def match_ends(
     else:
         out = many_end_matching(t, reps)
     out.n_ends = len(reps)
-    out.window = verify_ends_output(t, out, check_depth)
+    out.window_size, out.b_vertices, out.pairs = verify_ends_output(t, out, check_depth)
     return out
 
 
-def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> Window:
-    """Window check of the structural conclusions: the exceptional set is
+def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> tuple:
+    """Window check of the structural conclusions: the exceptional set B is
     2-regular, spans at most one component, has no two degree->=3 vertices at
-    odd distance, and the matching is a perfect matching off it. Returns the
-    window checked; raises InvariantViolationError on failure."""
+    odd distance, is empty on a tree with no bad ray and lies outside the
+    oracle domain, and the matching is perfect off B.
+
+    The matching is read in the one restricted_pairs pass over the window
+    vertices off B, which checks their domain and the involution among them.
+    Each pair (a, b) must then be a tree edge down from a with neither end in
+    B, and a b beyond the window must point back. Returns (window size, B's
+    window vertices in shortlex order, the verified pairs); raises
+    InvariantViolationError on failure."""
     win = t.window(depth)
     in_b = out.b_set.contains
-    flagged = {v for v in win.paths if in_b(v)}
-    for v in sorted(flagged, key=shortlex):
-        inside = sum(1 for w in t.neighbors(v) if out.b_set.contains(w))
+    b_vertices = tuple(v for v in win.paths if in_b(v))
+    flagged = set(b_vertices)
+    for v in b_vertices:
+        inside = sum(1 for w in t.neighbors(v) if in_b(w))
         if inside != 2:
             raise InvariantViolationError(
                 f"exceptional vertex {render_path(v)} has {inside} exceptional neighbors"
             )
     if flagged:
-        comp_count = 0
-        seen = set()
-        for v in flagged:
-            if v in seen:
-                continue
-            comp_count += 1
-            stack = [v]
-            seen.add(v)
-            while stack:
-                x = stack.pop()
-                for w in t.neighbors(x):
-                    if w in flagged and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        if comp_count > 1:
+        seen = {b_vertices[0]}
+        stack = [b_vertices[0]]
+        while stack:
+            for w in t.neighbors(stack.pop()):
+                if w in flagged and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if len(seen) < len(flagged):
+            raise InvariantViolationError("exceptional set spans more than one window component")
+    branched = [v for v in b_vertices if t.degree(v) >= 3]
+    for a, b in itertools.combinations(branched, 2):
+        if t.tree_distance(a, b) % 2 == 1:
             raise InvariantViolationError(
-                f"exceptional set spans {comp_count} window components"
+                f"exceptional vertices {render_path(a)}, {render_path(b)} "
+                "have degree >= 3 and odd distance"
             )
-        branched = [v for v in sorted(flagged, key=shortlex) if t.degree(v) >= 3]
-        for a, b in itertools.combinations(branched, 2):
-            if t.tree_distance(a, b) % 2 == 1:
+    for v in b_vertices:
+        if out.oracle.in_domain(v):
+            raise InvariantViolationError(
+                f"exceptional vertex {render_path(v)} is in the oracle domain"
+            )
+    try:
+        pairs = out.oracle.restricted_pairs([v for v in win.paths if v not in flagged])
+        for a, b in pairs:
+            if len(b) != len(a) + 1 or b[: len(a)] != a:
                 raise InvariantViolationError(
-                    f"exceptional vertices {render_path(a)}, {render_path(b)} "
-                    "have degree >= 3 and odd distance"
+                    f"pair {render_path(a)} {render_path(b)} is not a tree edge"
                 )
-    # Window vertices are valid by construction, so the domain predicate is
-    # asked directly.
-    in_domain = out.oracle._in_domain
-    partner = out.oracle.partner
-    for v in win.paths:
-        if v in flagged:
-            if in_domain(v):
+            if a in flagged or b in flagged or (len(b) > depth and in_b(b)):
                 raise InvariantViolationError(
-                    f"exceptional vertex {render_path(v)} is in the oracle domain"
+                    f"pair {render_path(a)} {render_path(b)} meets the exceptional set"
                 )
-            continue
-        if not in_domain(v):
-            raise InvariantViolationError(
-                f"vertex {render_path(v)} missing from the oracle domain"
-            )
-        p = partner(v)
-        shorter, longer = (p, v) if len(p) < len(v) else (v, p)
-        if len(longer) != len(shorter) + 1 or longer[: len(shorter)] != shorter:
-            raise InvariantViolationError(
-                f"partner of {render_path(v)} is not a tree neighbor: {render_path(p)}"
-            )
-        if in_b(p):
-            raise InvariantViolationError(
-                f"partner of {render_path(v)} lies in the exceptional set"
-            )
-        if partner(p) != v:
-            raise InvariantViolationError(
-                f"partner map is not an involution at {render_path(v)}"
-            )
+            # restricted_pairs asks a partner back only inside its set.
+            if len(b) > depth and out.oracle.partner(b) != a:
+                raise InvariantViolationError(
+                    f"partner map is not an involution at {render_path(a)}"
+                )
+    except ValueError as exc:
+        raise InvariantViolationError(str(exc)) from exc
     if not has_bad_ray(t) and out.b_set.kind != "empty":
         raise InvariantViolationError(
             "nonempty exceptional set on a tree with no bad ray"
         )
-    return win
+    return len(win.paths), b_vertices, pairs

@@ -40,9 +40,11 @@ class TestDeriveFinite:
     def test_trace_is_decreasing_and_stabilizes(self):
         res = derive(path_graph(8))
         assert isinstance(res, DerivativeResult)
-        sets = [frozenset(stage) for stage in res.trace]
-        for earlier, later in zip(sets, sets[1:]):
+        sizes = res.trace
+        assert sizes[0] == 8
+        for earlier, later in zip(sizes, sizes[1:]):
             assert later <= earlier
+        assert sizes[-1] == len(res.core)
         assert res.stabilized
 
     def test_isolated_vertex_conflicts(self):

@@ -3,7 +3,9 @@
 import pytest
 
 from treematch import AutomaticTree, EndDescriptor, Matching, ROOT, has_bad_ray, shortlex
+from treematch.errors import InvariantViolationError
 from treematch.matcher import (
+    EndsOutput,
     MatchingOracle,
     bijection_graph_matching,
     many_end_matching,
@@ -249,6 +251,110 @@ class TestMatchEnds:
             match_ends(battery["binary"], [])
         with pytest.raises(ValueError):
             match_ends(battery["binary"], parse_ends(["|2"]))
+
+
+class _PredicateB:
+    """A stand-in exceptional set given by a predicate."""
+
+    def __init__(self, contains, kind="line"):
+        self.contains = contains
+        self.kind = kind
+
+
+def _zeros(v):
+    return all(i == 0 for i in v)
+
+
+def _broken_outputs():
+    """(label, tree, EndsOutput, depth) whose window check must fail, one
+    for each check in verify_ends_output."""
+    binary = BATTERY["binary"]()
+    rooted = rooted_matching(binary)
+    no_b = _PredicateB(lambda v: False, "empty")
+
+    def fabricated(t, b_set, partner, in_domain=None):
+        domain = in_domain or (lambda v: not b_set.contains(v))
+        return EndsOutput(b_set, MatchingOracle(t, domain, partner, "fabricated"), 1)
+
+    def overriding(base, table):
+        return lambda v: table[v] if v in table else base(v)
+
+    cases = [("non-involution inside the window", binary,
+              fabricated(binary, no_b, lambda v: v + (0,)), 3)]
+    # A boundary vertex pairs one level down, and that partner pairs further down.
+    v = next(v for v in binary.window(2).paths if len(rooted.partner(v)) == 3)
+    child = rooted.partner(v)
+    cases.append(("partner beyond the window does not point back", binary,
+                  fabricated(binary, no_b, overriding(rooted.partner, {child: child + (0,)})), 2))
+    cases.append(("partner beyond the window in B", binary,
+                  fabricated(binary, _PredicateB(lambda v: v == child, "empty"), rooted.partner,
+                             in_domain=lambda v: True), 2))
+    swapped = {ROOT: (1, 0), (1, 0): ROOT, (0,): (1,), (1,): (0,)}
+    cases.append(("involution across non-neighbours", binary,
+                  fabricated(binary, no_b, overriding(rooted.partner, swapped)), 3))
+    cases.append(("matched vertex outside the domain", binary,
+                  fabricated(binary, no_b, rooted.partner, in_domain=lambda v: v != ROOT), 3))
+    cases.append(("B not 2-regular", binary,
+                  fabricated(binary, _PredicateB(lambda v: v == ROOT), rooted.partner), 3))
+    cases.append(("B vertices of degree >= 3 at odd distance", binary,
+                  fabricated(binary, _PredicateB(lambda v: _zeros(v) or (v[0] == 1 and _zeros(v[1:]))),
+                             rooted.partner), 3))
+
+    comb = BATTERY["even_comb"]()
+    line_out = two_end_matching(comb, *parse_ends(["|0", "1|0"]))
+    cases.append(("B vertex in the domain", comb,
+                  fabricated(comb, line_out.b_set, line_out.oracle.partner,
+                             in_domain=lambda v: True), 4))
+
+    def into_root(v):
+        # The tooth at the root pairs its top vertex into the root, which is
+        # on the line; the rest of its leftmost path shifts by one.
+        if v and v[0] == 2 and _zeros(v[1:]):
+            return ROOT if len(v) == 1 else v + (0,) if len(v) % 2 == 0 else v[:-1]
+        return line_out.oracle.partner(v)
+
+    cases.append(("partner in B", comb, fabricated(comb, line_out.b_set, into_root), 4))
+
+    # Two lines, one through the root and one through 2/0, whose degree-3
+    # vertices are at even distance; the rest is the ray 2/1/0... below 2.
+    forks = AutomaticTree.build(
+        "R",
+        {"R": 3, "A": 1, "S": 2, "C": 2},
+        {("R", 0): "A", ("R", 1): "A", ("R", 2): "S", ("S", 0): "C", ("S", 1): "A",
+         ("C", 0): "A", ("C", 1): "A"},
+    )
+
+    def two_lines(v):
+        if not v or v[0] < 2:
+            return _zeros(v[1:])
+        return len(v) >= 2 and v[1] == 0 and _zeros(v[3:])
+
+    def down_the_ray(v):
+        if v in ((2,), (2, 1)):
+            return (2, 1) if v == (2,) else (2,)
+        return v + (0,) if len(v) % 2 == 1 else v[:-1]
+
+    cases.append(("B with two components", forks,
+                  fabricated(forks, _PredicateB(two_lines), down_the_ray), 4))
+
+    three = BATTERY["three_regular"]()
+    three_rooted = rooted_matching(three)
+    tip = next(v for v in three.window(2).paths if len(three_rooted.partner(v)) == 3)
+    b_tip = {tip, tip + (0,), tip + (1,)}
+    cases.append(("nonempty B on a tree with no bad ray", three,
+                  fabricated(three, _PredicateB(b_tip.__contains__), three_rooted.partner), 2))
+    return cases
+
+
+BROKEN_OUTPUTS = _broken_outputs()
+
+
+class TestVerifierFailures:
+    @pytest.mark.parametrize("label, t, out, depth", BROKEN_OUTPUTS,
+                             ids=[case[0] for case in BROKEN_OUTPUTS])
+    def test_raises_invariant_violation(self, label, t, out, depth):
+        with pytest.raises(InvariantViolationError):
+            verify_ends_output(t, out, depth)
 
 
 def fresh_constructions(t, name):
