@@ -147,6 +147,16 @@ def _word(s: str) -> str:
     return s if s else "-"
 
 
+def _pair_lines(pairs) -> list:
+    """The output lines of a window pass's pairs, each (upper end, its child
+    i) rendered from the window's names as "m <upper> <upper>/i"."""
+    names = pairs.window.names
+    lines = [f"m {names[j]} {names[j]}/{b[-1]}" for j, (_, b) in zip(pairs.uppers, pairs)]
+    if pairs.uppers and pairs.uppers[0] == 0:
+        lines[0] = f"m / {pairs[0][1][0]}"  # the root's child is not named //i
+    return lines
+
+
 def _cmd_derivative(args, stats, digest_parts):
     if args.graph is not None:
         g = _parse_graph_text(_read(args.graph, digest_parts))
@@ -157,9 +167,9 @@ def _cmd_derivative(args, stats, digest_parts):
     else:
         t = _parse_tree_text(_read(args.tree, digest_parts))
         digest_parts.append(f"depth={args.depth}".encode())
-        result = derive_window(t, args.depth)
+        win = t.window(args.depth)
+        result = derive_window(win)
         label = render_path
-        sort_key = shortlex
         stats["vertices"] = result.trace[0]
     if isinstance(result, DerivativeConflict):
         stats["iterations"] = result.stage
@@ -178,10 +188,19 @@ def _cmd_derivative(args, stats, digest_parts):
         f"rounds {result.rounds}",
         f"stabilized {'yes' if result.stabilized else 'no'}",
     ]
-    for v in sorted(result.core, key=sort_key):
-        lines.append(f"core {label(v)}")
-    for a, b in result.forced.sorted_pairs():
-        lines.append(f"m {label(a)} {label(b)}")
+    if args.graph is not None:
+        lines.extend(f"core {v}" for v in sorted(result.core))
+        lines.extend(f"m {a} {b}" for a, b in result.forced.sorted_pairs())
+        return lines, "ok", 0
+    # Forced pairs are tree edges, each met once at its upper end in window order.
+    core, lower = result.core, dict(result.forced.pairs)
+    forced = []
+    for v, name in zip(win.paths, win.names):
+        if v in core:
+            lines.append(f"core {name}")
+        elif v in lower:
+            forced.append(f"m {name} {render_path(lower[v])}")
+    lines += forced
     return lines, "ok", 0
 
 
@@ -190,10 +209,11 @@ def _cmd_match_rooted(args, stats, digest_parts):
     digest_parts.append(f"depth={args.depth}".encode())
     oracle = rooted_matching(t)
     win = t.window(args.depth)
-    pairs = oracle.restricted_pairs(win.paths)
+    pairs = oracle.restricted_pairs(win)
     stats["vertices"] = len(win.paths)
     stats["iterations"] = len(pairs)
-    return [f"m {render_path(a)} {render_path(b)}" for a, b in pairs], "ok", 0
+    stats["pointwise"] = pairs.pointwise
+    return _pair_lines(pairs), "ok", 0
 
 
 def _cmd_match_ends(args, stats, digest_parts):
@@ -204,9 +224,10 @@ def _cmd_match_ends(args, stats, digest_parts):
     kind = out.b_set.kind.replace("_", "-")
     lines = [f"ends {out.n_ends}", f"bset {kind}"]
     lines.extend(f"b {render_path(v)}" for v in out.b_vertices)
-    lines.extend(f"m {render_path(a)} {render_path(b)}" for a, b in out.pairs)
+    lines += _pair_lines(out.pairs)
     stats["vertices"] = out.window_size
     stats["iterations"] = len(out.pairs)
+    stats["pointwise"] = out.pairs.pointwise
     return lines, "ok", 0
 
 
@@ -353,10 +374,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _report(command: str, digest_parts, outcome: str, stats, start: float) -> None:
     digest = hashlib.sha256(b"\x00".join(digest_parts)).hexdigest()[:12]
     runtime = time.monotonic() - start
+    # Only a finished window pass knows how many partner queries it made.
+    pointwise = f" pointwise={stats['pointwise']}" if "pointwise" in stats else ""
     print(
         f"report subcommand={command} digest={digest} outcome={outcome} "
         f"vertices={stats['vertices']} iterations={stats['iterations']} "
-        f"runtime={runtime:.3f}",
+        f"runtime={runtime:.3f}{pointwise}",
         file=sys.stderr,
     )
 

@@ -14,11 +14,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .graph_core import (
-    MAX_WINDOW_VERTICES,
     ROOT,
-    AutomaticTree,
     FiniteGraph,
     Matching,
+    Window,
     _vertex_key,
 )
 
@@ -110,21 +109,16 @@ def derive(g: FiniteGraph, max_rounds: int | None = None):
     return _run(range(g.vertex_count), alive_neighbors, lambda v: 0, lambda v: None, max_rounds)
 
 
-def derive_window(
-    t: AutomaticTree,
-    depth: int,
-    max_rounds: int | None = None,
-    max_vertices: int | None = MAX_WINDOW_VERTICES,
-):
+def derive_window(win: Window, max_rounds: int | None = None):
     """Run the derivative on a depth-bounded window of an AutomaticTree.
 
     Degrees are taken from the full tree: children beyond the window always
     count as present, so every pruning decision made here is also valid in the
     infinite tree. Forced partners may lie one level beyond the window.
     """
-    if depth < 2:
+    if win.depth < 2:
         raise ValueError("window derivative needs depth >= 2")
-    win = t.window(depth, max_vertices)
+    t, depth = win.tree, win.depth
     # Each vertex's neighbors in window order, which decides a forced
     # vertex's partner: its parent, then its children, which are the next
     # branch_of(state) window paths not yet taken.

@@ -8,6 +8,8 @@ are tuples of child indices; the root is the empty tuple.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -348,6 +350,32 @@ class Window:
     depth: int
     paths: tuple
     states: tuple
+
+    @cached_property
+    def boundary_start(self) -> int:
+        """Index of the first vertex at path length depth: the vertices from
+        here on have their children beyond the window."""
+        return bisect.bisect_left(self.paths, self.depth, key=len)
+
+    @cached_property
+    def child_start(self) -> list:
+        """Each vertex's first child's index, at the vertex's position: its
+        children above the boundary level are the next branch count paths.
+        Built on first use."""
+        branch = {q: self.tree.branch_of(q) for q in self.tree.states}
+        return list(itertools.accumulate(map(branch.__getitem__, self.states), initial=1))
+
+    @cached_property
+    def names(self) -> list:
+        """Each vertex's rendered path, at the same position. Built top-down
+        on first use: a child's name is its parent's name plus /i."""
+        tree, states = self.tree, self.states
+        suffixes = {q: ["/" + str(i) for i in range(tree.branch_of(q))] for q in tree.states}
+        names = ["/"] + [s[1:] for s in suffixes[states[0]]] if self.depth else ["/"]
+        extend = names.extend
+        for j in range(1, self.boundary_start):
+            extend(map(names[j].__add__, suffixes[states[j]]))
+        return names
 
 
 @dataclass(frozen=True)

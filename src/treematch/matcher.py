@@ -9,13 +9,31 @@ One class, _Line, holds that line's coordinates for both. For two ends the
 rays are the given ends; for one end they are the end and the leftmost
 descent from the lowest root child off it, so the line runs through the
 root. The subclasses add only their partner rules.
+
+A window is read in one top-down pass (MatchingOracle.restricted_pairs).
+Each construction names a finite prefix-closed set of anchors, which the
+pass asks pointwise: the root for the rooted matching and the one-end
+fallback, the prefixes of the component root for the many-end matching,
+and the prefixes of m plus the line's vertices down to the window depth for
+the one- and two-end lines. Every other vertex follows the anchor rule: it
+pairs with its parent if the parent pairs with it, and otherwise with its
+child 0. That is _Component's rule wherever three things hold, and off the
+anchors they do. The neighbour toward the component root is the tree
+parent, since a component root and the vertices between it and the tree
+root are anchors. No filter cuts a child: the filters cut only line
+vertices, and a non-anchor has none below it. And a vertex whose parent is
+matched elsewhere starts a new chain of parity 0, so it takes its first
+kept neighbour, child 0. The children of a vertex left out of the pass
+(the exceptional line of a two-end matching) are asked pointwise, as the
+roots of the components hanging there.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError
 from .graph_core import (
@@ -25,24 +43,57 @@ from .graph_core import (
     FiniteGraph,
     Matching,
     TreeVertex,
+    Window,
     divergence_length,
     ends_equivalent,
     has_bad_ray,
     render_path,
-    shortlex,
     validate_end,
 )
 
 
+PARENT = -1  # a window pass's code for "pairs with its parent"; i >= 0 is child i
+
+
+class WindowPairs(list):
+    """The pairs a window pass saw, as (upper, lower) tree edges in window
+    order of their upper ends, with what they are rendered and checked from:
+    the window, each upper end's window index, the pairs that reach a
+    left-out vertex, the positions of the pairs whose lower end lies beyond
+    the window and was asked pointwise, and the number of pointwise partner
+    queries made."""
+
+    def __init__(self, window: Window):
+        super().__init__()
+        self.window = window
+        self.uppers: list = []
+        self.left_out: list = []
+        self.beyond: list = []
+        self.pointwise = 0
+
+
 class MatchingOracle:
     """Pointwise access to a matching: a domain predicate plus a partner
-    function, with memoized queries."""
+    function, with memoized queries.
 
-    def __init__(self, tree: AutomaticTree, in_domain: Callable, partner_fn: Callable, description: str = ""):
+    anchors(depth), when given, names the finite prefix-closed set of
+    vertices that a window pass of that depth asks pointwise; every other
+    vertex follows the anchor rule (module docstring). Without it every
+    window vertex is asked."""
+
+    def __init__(
+        self,
+        tree: AutomaticTree,
+        in_domain: Callable,
+        partner_fn: Callable,
+        description: str = "",
+        anchors: Callable | None = None,
+    ):
         self.tree = tree
         self._in_domain = in_domain
         self._partner_fn = partner_fn
         self.description = description
+        self._anchors = anchors
         self._memo: dict = {}
 
     def in_domain(self, v: TreeVertex) -> bool:
@@ -59,43 +110,135 @@ class MatchingOracle:
         self._memo[v] = p
         return p
 
-    def restricted_pairs(self, vertices: Sequence) -> list:
-        """The matching pairs seen from a finite vertex set, sorted by their
-        shortlex-smaller end (partners may lie outside the set).
+    def restricted_pairs(self, win: Window, skip: Collection = ()) -> WindowPairs:
+        """The matching seen from the window minus the vertices in skip (given
+        by window index), in one top-down pass.
 
-        The vertices must lie in the oracle domain and come in strictly
-        increasing shortlex order, as window paths do. One pass emits each
-        pair at its smaller end. A vertex matched twice raises ValueError: a
-        partner inside the set must point back, and no partner outside it
-        may be claimed twice.
+        Anchors and the children of vertices in skip are asked pointwise,
+        in window order (every vertex is, for an oracle without anchors); a
+        partner so asked is asked at once when it is an anchor too, as a
+        pointwise sweep would. Every other vertex follows the anchor rule: it
+        pairs with its parent if the parent pairs with it, and otherwise
+        with its child 0. By window index the pass checks that each partner
+        is a tree neighbour, that the involution holds inside the window and
+        that a vertex of skip is claimed at most once (ValueError "matched
+        twice" otherwise). A partner one level beyond the window that was
+        asked pointwise is asked back after the pass and must point back.
         """
-        members = set(vertices)
-        claimed = set()
-        pairs = []
-        behind = []  # pairs whose smaller end lies outside the set
-        last = None
-        for v in vertices:
-            key = (len(v), v)
-            if last is not None and key <= last:
-                raise ValueError(f"vertex {v!r} is out of shortlex order")
-            last = key
-            p = self.partner(v)
+        paths, states, first = win.paths, win.states, win.child_start
+        tree = win.tree
+        branch = {q: tree.branch_of(q) for q in tree.states}
+        n = len(paths)
+        out = WindowPairs(win)
+        pairs, uppers, left_out, beyond = out, out.uppers, out.left_out, out.beyond
+        if self._anchors is None:
+            anchors = None
+        else:
+            anchors = set(self._anchors(win.depth))
+            for a in anchors:
+                if a and a[:-1] not in anchors:
+                    raise ValueError(f"anchor {render_path(a)} lacks its parent")
+        skipped = set(skip)
+        anchored = {0} if anchors is not None and ROOT in anchors else set()
+        asked = set()
+        claimed = set()  # vertices of skip claimed as a partner
+        # Families whose children are not all ruled: below an anchor, in skip
+        # or below a vertex of skip.
+        slow = anchored | skipped | {bisect.bisect_right(first, c) - 1 for c in skipped if c}
+        choice = [None] * n  # PARENT, a child index, or None for a vertex of skip
+        boundary = win.boundary_start
+
+        def ask(c: int) -> int:
+            """Vertex c's pointwise partner as PARENT or a child index."""
+            asked.add(c)
+            out.pointwise += 1
+            v, p = paths[c], self.partner(paths[c])
+            d = len(v)
+            if len(p) == d + 1 and p[:d] == v:
+                if not 0 <= p[-1] < branch[states[c]]:
+                    raise ValueError(f"invalid vertex {render_path(p)}")
+                if c < boundary:
+                    below = first[c] + p[-1]
+                    if below not in skipped and (anchors is None or p in anchors):
+                        self.partner(p)
+                return p[-1]
+            if d and len(p) == d - 1 and p == v[:-1]:
+                return PARENT
             if p == v:
                 raise ValueError(f"loop pair {v!r}")
-            if p in members:
-                if self.partner(p) != v:
-                    raise ValueError(f"vertex {p!r} matched twice")
-            elif p in claimed:
-                raise ValueError(f"vertex {p!r} matched twice")
-            else:
-                claimed.add(p)
-            if key < (len(p), p):
-                pairs.append((v, p))
-            elif p not in members:
-                behind.append((p, v))
-        if behind:
-            pairs = sorted(pairs + behind, key=lambda ab: (shortlex(ab[0]), shortlex(ab[1])))
-        return pairs
+            raise ValueError(f"pair {render_path(v)} {render_path(p)} is not a tree edge")
+
+        def claim(c: int) -> None:
+            if c in claimed:
+                raise ValueError(f"vertex {paths[c]!r} matched twice")
+            claimed.add(c)
+
+        if 0 not in skipped:
+            choice[0] = ask(0) if anchors is None or anchored else 0
+        zeros = [0] * max(branch.values(), default=0)
+        for j in range(boundary):
+            up = choice[j]
+            k = branch[states[j]]
+            if not k:
+                if up == 0:
+                    raise InvariantViolationError(
+                        f"vertex {render_path(paths[j])} has no child to pair with"
+                    )
+                continue
+            v = paths[j]
+            start = first[j]
+            if up is not None and up >= 0:
+                pairs.append((v, paths[start + up]))
+                uppers.append(j)
+            end = start + k
+            if anchors is not None and j not in slow:
+                choice[start:end] = zeros[:k]
+                if up is not None and up >= 0:
+                    choice[start + up] = PARENT
+                continue
+            for c in range(start, end):
+                i = c - start
+                if j in anchored and paths[c] in anchors:
+                    anchored.add(c)
+                    slow.add(c)
+                if c in skipped:
+                    if up == i:
+                        claim(c)
+                        left_out.append(pairs[-1])
+                    continue
+                if anchors is None or c in anchored or j in skipped:
+                    code = ask(c)
+                    if code == PARENT:
+                        if up is None:
+                            claim(j)
+                            pairs.append((v, paths[c]))
+                            uppers.append(j)
+                            left_out.append(pairs[-1])
+                        elif up != i:
+                            raise ValueError(f"vertex {v!r} matched twice")
+                    elif up == i:
+                        raise ValueError(f"vertex {paths[c]!r} matched twice")
+                    choice[c] = code
+                else:
+                    choice[c] = PARENT if up == i else 0
+        for j in range(boundary, n):
+            up = choice[j]
+            if up is not None and up >= 0:
+                if not branch[states[j]]:
+                    raise InvariantViolationError(
+                        f"vertex {render_path(paths[j])} has no child to pair with"
+                    )
+                v = paths[j]
+                pairs.append((v, v + (up,)))
+                uppers.append(j)
+                if j in asked:
+                    beyond.append(len(pairs) - 1)
+        for pos in beyond:
+            a, b = pairs[pos]
+            out.pointwise += 1
+            if self.partner(b) != a:
+                raise ValueError(f"partner map is not an involution at {render_path(a)}")
+        return out
 
 
 class _Component:
@@ -195,6 +338,13 @@ def _common_prefix_len(a: TreeVertex, b: TreeVertex) -> int:
     return n
 
 
+def _prefixes_of(root: TreeVertex) -> Callable:
+    """Anchors of a component matching rooted at root: root's prefixes, at
+    any window depth."""
+    prefixes = [root[:n] for n in range(len(root) + 1)]
+    return lambda depth: prefixes
+
+
 def _require_min_degree_two(t: AutomaticTree) -> None:
     if t.branch_of(t.root_state) < 2:
         raise ValueError("root degree below two")
@@ -209,7 +359,7 @@ def rooted_matching(t: AutomaticTree) -> MatchingOracle:
         if t.branch_of(q) < 1:
             raise ValueError(f"state {q!r} has no children")
     comp = _Component(t, ROOT)
-    return MatchingOracle(t, lambda v: True, comp.partner, "rooted")
+    return MatchingOracle(t, lambda v: True, comp.partner, "rooted", _prefixes_of(ROOT))
 
 
 @dataclass(frozen=True)
@@ -293,7 +443,7 @@ class EndsOutput:
     n_ends: int
     note: str = ""
     # What match_ends verified: the window size, B's window vertices in
-    # shortlex order, and the pairs seen from the rest of the window.
+    # shortlex order, and the WindowPairs seen from the rest of the window.
     window_size: int = 0
     b_vertices: tuple = ()
     pairs: Sequence = ()
@@ -431,6 +581,13 @@ class _Line:
             return 0, v, None
         return 0, self.m, self.m[:-1]
 
+    def anchors(self, depth: int) -> list:
+        """The prefixes of m and the line's vertices down to depth."""
+        out = [self.m[:n] for n in range(self.m_len + 1)]
+        for n in range(self.m_len + 1, depth + 1):
+            out += (self.e1.prefix(n), self.e2.prefix(n))
+        return out
+
     def closed_component(self, root: TreeVertex, cut: TreeVertex) -> _Component:
         """The component of root once its edge to the neighbor cut is
         removed, built once per (root, cut)."""
@@ -550,9 +707,11 @@ def one_end_matching(t: AutomaticTree, e: EndDescriptor, budget: int = 100_000) 
     spine = _OneEndSpine(t, e, budget)
     if not spine.cofinal:
         comp = _Component(t, ROOT)
-        oracle = MatchingOracle(t, lambda v: True, comp.partner, "one-end rooted fallback")
+        oracle = MatchingOracle(
+            t, lambda v: True, comp.partner, "one-end rooted fallback", _prefixes_of(ROOT)
+        )
         return EndsOutput(BSet("empty"), oracle, 1, note="branching not cofinal along the spine")
-    oracle = MatchingOracle(t, lambda v: True, spine.partner, "one-end")
+    oracle = MatchingOracle(t, lambda v: True, spine.partner, "one-end", spine.anchors)
     return EndsOutput(BSet("empty"), oracle, 1)
 
 
@@ -706,10 +865,10 @@ def two_end_matching(
             raise ValueError(f"invalid end descriptor {e.render()}")
     line = _TwoEndLine(t, e1, e2, budget)
     if line.odd_pair:
-        oracle = MatchingOracle(t, lambda v: True, line.partner, "two-end full")
+        oracle = MatchingOracle(t, lambda v: True, line.partner, "two-end full", line.anchors)
         return EndsOutput(BSet("empty"), oracle, 2)
     oracle = MatchingOracle(
-        t, lambda v: line.position_of(v) is None, line.partner, "two-end off-line"
+        t, lambda v: line.position_of(v) is None, line.partner, "two-end off-line", line.anchors
     )
     return EndsOutput(BSet("line", line.report()), oracle, 2)
 
@@ -741,7 +900,7 @@ def many_end_matching(t: AutomaticTree, ends: Sequence) -> EndsOutput:
     if median is None:
         median = sorted(div, key=len)[1]
     comp = _Component(t, median)
-    oracle = MatchingOracle(t, lambda v: True, comp.partner, "many-end")
+    oracle = MatchingOracle(t, lambda v: True, comp.partner, "many-end", _prefixes_of(median))
     return EndsOutput(BSet("empty"), oracle, len(ends))
 
 
@@ -795,14 +954,21 @@ def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> tuple:
     oracle domain, and the matching is perfect off B.
 
     The matching is read in the one restricted_pairs pass over the window
-    vertices off B, which checks their domain and the involution among them.
-    Each pair (a, b) must then be a tree edge down from a with neither end in
-    B, and a b beyond the window must point back. Returns (window size, B's
-    window vertices in shortlex order, the verified pairs); raises
+    minus B, which checks tree edges, the involution and partners beyond
+    the window it asked. No pair may then reach B: a left-out vertex inside
+    the window, or a partner beyond it that was asked pointwise (the anchor
+    rule keeps the others off B). Off the anchors this certifies the anchor
+    rule, not out.oracle.partner: the pass asks partner only at anchors,
+    children of B vertices and asked partners beyond the window, so a
+    construction whose partner rule disagrees with the anchor rule elsewhere
+    still passes. TestWindowPass (tests/test_matcher.py) is the only guard
+    of that agreement. Returns (window size, B's window vertices in
+    shortlex order, the verified WindowPairs); raises
     InvariantViolationError on failure."""
     win = t.window(depth)
     in_b = out.b_set.contains
-    b_vertices = tuple(v for v in win.paths if in_b(v))
+    b_index = tuple(itertools.compress(range(len(win.paths)), map(in_b, win.paths)))
+    b_vertices = tuple(win.paths[j] for j in b_index)
     flagged = set(b_vertices)
     for v in b_vertices:
         inside = sum(1 for w in t.neighbors(v) if in_b(w))
@@ -833,23 +999,15 @@ def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> tuple:
                 f"exceptional vertex {render_path(v)} is in the oracle domain"
             )
     try:
-        pairs = out.oracle.restricted_pairs([v for v in win.paths if v not in flagged])
-        for a, b in pairs:
-            if len(b) != len(a) + 1 or b[: len(a)] != a:
-                raise InvariantViolationError(
-                    f"pair {render_path(a)} {render_path(b)} is not a tree edge"
-                )
-            if a in flagged or b in flagged or (len(b) > depth and in_b(b)):
-                raise InvariantViolationError(
-                    f"pair {render_path(a)} {render_path(b)} meets the exceptional set"
-                )
-            # restricted_pairs asks a partner back only inside its set.
-            if len(b) > depth and out.oracle.partner(b) != a:
-                raise InvariantViolationError(
-                    f"partner map is not an involution at {render_path(a)}"
-                )
+        pairs = out.oracle.restricted_pairs(win, b_index)
     except ValueError as exc:
         raise InvariantViolationError(str(exc)) from exc
+    met = pairs.left_out + [pairs[pos] for pos in pairs.beyond if in_b(pairs[pos][1])]
+    if met:
+        a, b = met[0]
+        raise InvariantViolationError(
+            f"pair {render_path(a)} {render_path(b)} meets the exceptional set"
+        )
     if not has_bad_ray(t) and out.b_set.kind != "empty":
         raise InvariantViolationError(
             "nonempty exceptional set on a tree with no bad ray"

@@ -132,6 +132,15 @@ class TestMatchRooted:
         assert code == 0
         assert out == ROOTED_T3
 
+    def test_report_counts_pointwise_queries(self, files):
+        # The rooted matching's one anchor is the root.
+        _, _, err = cli_run(["match-rooted", "--tree", files["t3.tree"], "--depth", "4"])
+        assert " runtime=" in err and err.endswith(" pointwise=1\n")
+        _, _, err = cli_run(["match-ends", "--tree", files["t3.tree"], "--end", "|0", "--depth", "4"])
+        # The root, the line's 2 x 4 vertices below it, and the depth-5 line
+        # vertex that the depth-4 one pairs with, asked back.
+        assert err.endswith(" pointwise=10\n")
+
     def test_rejects_leaf_states(self, files, tmp_path):
         leafy = tmp_path / "leafy.tree"
         leafy.write_text(

@@ -109,7 +109,7 @@ class TestDeriveWindow:
     def test_three_regular_window_is_all_core(self):
         t = BATTERY["three_regular"]()
         for depth in (2, 4):
-            res = derive_window(t, depth)
+            res = derive_window(t.window(depth))
             assert isinstance(res, DerivativeResult)
             assert len(res.core) == len(t.window(depth).paths)
             assert len(res.forced) == 0
@@ -117,7 +117,7 @@ class TestDeriveWindow:
 
     def test_line_window_is_all_core(self):
         t = BATTERY["line"]()
-        res = derive_window(t, 4)
+        res = derive_window(t.window(4))
         assert isinstance(res, DerivativeResult)
         assert len(res.core) == 9
         assert len(res.forced) == 0
@@ -126,7 +126,7 @@ class TestDeriveWindow:
         t = AutomaticTree.build(
             "top", {"top": 1, "body": 2}, {("top", 0): "body"}
         )
-        res = derive_window(t, 4)
+        res = derive_window(t.window(4))
         assert isinstance(res, DerivativeResult)
         assert res.forced.partner(ROOT) == (0,)
         assert ROOT not in res.core
@@ -135,4 +135,4 @@ class TestDeriveWindow:
 
     def test_requires_depth_at_least_two(self):
         with pytest.raises(ValueError):
-            derive_window(BATTERY["binary"](), 1)
+            derive_window(BATTERY["binary"]().window(1))

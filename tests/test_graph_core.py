@@ -180,6 +180,16 @@ class TestAutomaticTree:
                     nxt += k
             assert nxt == len(win.paths), name
 
+    def test_window_names_and_first_children(self):
+        for name, build in BATTERY.items():
+            t = build()
+            for depth in (0, 1, 4):
+                win = t.window(depth)
+                assert win.names == [render_path(v) for v in win.paths], (name, depth)
+                for j, v in enumerate(win.paths):
+                    if len(v) < depth and t.branch_of(win.states[j]):
+                        assert win.paths[win.child_start[j]] == v + (0,), (name, v)
+
     def test_window_ids_follow_shortlex(self):
         t = BATTERY["binary"]()
         win = t.window(3)

@@ -1,9 +1,20 @@
 """Constructive matchings: rooted, bijection-generated, and end-based."""
 
+from random import Random
+
 import pytest
 
-from treematch import AutomaticTree, EndDescriptor, Matching, ROOT, has_bad_ray, shortlex
-from treematch.errors import InvariantViolationError
+from treematch import (
+    AutomaticTree,
+    EndDescriptor,
+    Matching,
+    ROOT,
+    ends_equivalent,
+    has_bad_ray,
+    shortlex,
+    validate_end,
+)
+from treematch.errors import BudgetExceededError, InvariantViolationError
 from treematch.matcher import (
     EndsOutput,
     MatchingOracle,
@@ -400,25 +411,27 @@ class TestMemoizedPartners:
             o = rooted_matching(t)
             # Leaving out the root makes the pair at (0,) end outside the set
             # on its shortlex-smaller side.
-            members = t.window(5).paths[1:]
+            win = t.window(5)
             expected = Matching.of(
-                tuple(sorted((v, o.partner(v)), key=shortlex)) for v in members
+                tuple(sorted((v, o.partner(v)), key=shortlex)) for v in win.paths[1:]
             ).sorted_pairs()
-            assert o.restricted_pairs(members) == expected, name
+            assert o.restricted_pairs(win, skip={0}) == expected, name
 
     def test_render_pass_rejects_a_non_involution(self):
         t = BATTERY["binary"]()
         down = MatchingOracle(t, lambda v: True, lambda v: v + (0,), "always down")
         with pytest.raises(ValueError, match="matched twice"):
-            down.restricted_pairs(t.window(3).paths)
+            down.restricted_pairs(t.window(3))
         up = MatchingOracle(t, lambda v: True, lambda v: v[:-1], "always up")
         with pytest.raises(ValueError, match="matched twice"):
-            up.restricted_pairs([(0,), (1,)])
+            up.restricted_pairs(t.window(1), skip={0})
 
-    def test_render_pass_needs_shortlex_order(self):
-        o = rooted_matching(BATTERY["binary"]())
-        with pytest.raises(ValueError, match="shortlex"):
-            o.restricted_pairs([(0,), ROOT])
+    def test_render_pass_rejects_a_non_edge(self):
+        t = BATTERY["binary"]()
+        swap = {(0,): (1,), (1,): (0,)}
+        siblings = MatchingOracle(t, lambda v: True, swap.__getitem__, "siblings")
+        with pytest.raises(ValueError, match="not a tree edge"):
+            siblings.restricted_pairs(t.window(1), skip={0})
 
 
 def closed_truncation_agrees_with_oracle(t, oracle, excluded=None):
@@ -481,3 +494,141 @@ class TestClosedTruncation:
             )
             if out.b_set.kind == "empty":
                 assert checked > 0
+
+
+def pointwise_sweep(oracle, win, b_vertices):
+    """The window's pairs from a pointwise query of every vertex off B, in
+    shortlex order, asking each partner inside the set right after its
+    vertex and each partner beyond the window at the end: ("pairs", sorted
+    pairs) or ("error", type, message, frontier) for the first failure."""
+    members = [v for v in win.paths if v not in set(b_vertices)]
+    inside = set(members)
+    try:
+        found = []
+        for v in members:
+            p = oracle.partner(v)
+            if p in inside:
+                oracle.partner(p)
+            found.append(tuple(sorted((v, p), key=shortlex)))
+        pairs = Matching.of(found).sorted_pairs()
+        for a, b in pairs:
+            if len(b) > win.depth and oracle.partner(b) != a:
+                raise ValueError(f"partner map is not an involution at {a}")
+        return ("pairs", pairs)
+    except Exception as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "frontier", None))
+
+
+def window_pass(oracle, win, b_vertices):
+    b_set = set(b_vertices)
+    b_index = [j for j, v in enumerate(win.paths) if v in b_set]
+    try:
+        return ("pairs", list(oracle.restricted_pairs(win, b_index)))
+    except Exception as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "frontier", None))
+
+
+def end_constructions(t, ends, budget=100_000):
+    """(oracle, B predicate) of the construction match_ends dispatches to,
+    built fresh."""
+    reps = []
+    for e in ends:
+        if not any(ends_equivalent(t, e, r) for r in reps):
+            reps.append(e)
+    if len(reps) == 1:
+        res = one_end_matching(t, reps[0], budget)
+    elif len(reps) == 2:
+        res = two_end_matching(t, *reps, budget)
+    else:
+        res = many_end_matching(t, reps)
+    return res.oracle, res.b_set.contains
+
+
+def random_machine(rng):
+    """A machine with at most 3 states and branch at most 3 whose root has
+    at least two children, and 1-3 random valid ends of it."""
+    while True:
+        states = [f"S{i}" for i in range(rng.randint(1, 3))]
+        branch = {q: rng.randint(0, 3) for q in states}
+        branch["S0"] = rng.randint(2, 3)
+        step = {(q, i): rng.choice(states) for q in states for i in range(branch[q])}
+        t = AutomaticTree.build("S0", branch, step)
+        ends = []
+        for _ in range(rng.randint(1, 3)):
+            for _ in range(50):
+                e = EndDescriptor(tuple(rng.randrange(3) for _ in range(rng.randint(0, 2))),
+                                  tuple(rng.randrange(3) for _ in range(rng.randint(1, 2))))
+                if validate_end(t, e):
+                    ends.append(e)
+                    break
+        if ends:
+            return t, ends
+
+
+class TestWindowPass:
+    """The anchor rule against pointwise partners: the window pass must see
+    the pairs (or raise the error) that a pointwise sweep does."""
+
+    def compare(self, t, build, depth):
+        oracle, in_b = build()
+        win = t.window(depth)
+        b_vertices = tuple(v for v in win.paths if in_b(v))
+        reference, _ = build()
+        expected = pointwise_sweep(reference, win, b_vertices)
+        got = window_pass(oracle, win, b_vertices)
+        if expected[0] == "error" and expected[1] is ValueError:
+            assert got[0] == "error", oracle.description  # messages name vertices differently
+        else:
+            assert got == expected, oracle.description
+        return oracle.description, expected[0]
+
+    @pytest.mark.parametrize("name", sorted(BATTERY))
+    def test_battery_at_depth_8(self, battery, name):
+        t = battery[name]
+        for label, build in fresh_constructions(t, name):
+            self.compare(t, build, 8)
+
+    @pytest.mark.parametrize("name", ["binary", "three_regular", "mixed_period"])
+    def test_many_end_median_two_levels_down(self, battery, name):
+        # The median (0, 0) re-roots the component: the root and (0,) pair
+        # toward it by other rules than the tree root's.
+        t = battery[name]
+        ends = parse_ends(["0,0,0|0", "0,0,1|0", "0,0,1,1|0"])
+        assert self.compare(t, lambda: end_constructions(t, ends), 8) == ("many-end", "pairs")
+
+    def test_budget_limited_runs_fail_alike(self, battery):
+        # Budgets 1 and 2 let some line walks through and stop others; the
+        # pass must stop at the same walk as the sweep.
+        outcomes = []
+        for budget in (1, 2):
+            for name in sorted(BATTERY_ENDS):
+                t = battery[name]
+                for ends in battery_ends(name):
+                    if len(ends) > 2:
+                        continue  # the many-end matching walks no line
+                    try:
+                        build = lambda: end_constructions(t, ends, budget)  # noqa: E731
+                        build()
+                    except BudgetExceededError:
+                        continue
+                    outcomes.append(self.compare(t, build, 8)[1])
+        assert "error" in outcomes and "pairs" in outcomes
+
+    def test_random_machines_at_depth_6(self):
+        rng = Random(2024)
+        seen = set()
+        for _ in range(300):
+            t, ends = random_machine(rng)
+            builds = []
+            if all(t.branch_of(q) >= 1 for q in t.states):
+                builds.append(lambda: (rooted_matching(t), lambda v: False))
+            try:
+                end_constructions(t, ends)
+            except ValueError:
+                pass
+            else:
+                builds.append(lambda: end_constructions(t, ends))
+            for build in builds:
+                seen.add(self.compare(t, build, 6)[0])
+        assert seen == {"rooted", "one-end injective", "one-end rooted fallback", "one-end",
+                        "two-end full", "two-end off-line", "many-end"}

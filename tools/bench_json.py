@@ -1,0 +1,105 @@
+"""Write BENCH_<pr>.json: the benchmark of a parent revision and of this
+checkout, run in one sitting on one host.
+
+Usage, from the root of a checkout:
+
+    python3 tools/bench_json.py --parent HEAD~1 --pr 13
+
+For each workload in BENCHMARK.json it runs
+`perfbench/run.py --workload <w> --seed 41 --seconds <run_seconds> --trace 0`
+once in an exported copy of the parent (`git archive`, so the repository's
+git metadata is left alone) and once in this checkout, alternating which
+side runs first from workload to workload. `run_seconds` is BENCHMARK.json's.
+The last stdout line of each run goes into BENCH_<pr>.json with the host
+facts. The checkout side is the working tree as it stands, which is the
+change once committed. Standard library only, plus the git command line.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 41  # the seed of every BENCH_<pr>.json
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def export(rev: str, dest: Path) -> None:
+    """Unpack the tree of rev into dest."""
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", rev))) as tar:
+        tar.extractall(dest, **safe)
+
+
+def run_bench(checkout: Path, workload: str, seconds: float) -> dict:
+    """The result line of one untraced benchmark run in checkout."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"{workload} in {checkout} exited {proc.returncode}: {proc.stderr[-500:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", required=True, help="parent revision, e.g. HEAD~1 or a commit")
+    p.add_argument("--pr", required=True, help="number in the output name BENCH_<pr>.json")
+    p.add_argument("--note", default="", help="appended to the file's note")
+    args = p.parse_args(argv)
+
+    parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    results = {"parent": {}, "change": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_dir = Path(tmp)
+        export(parent_commit, parent_dir)
+        for k, workload in enumerate(workloads):
+            sides = [("parent", parent_dir), ("change", ROOT)]
+            if k % 2:
+                sides.reverse()
+            for side, checkout in sides:
+                print(f"{workload}: {side}", file=sys.stderr, flush=True)
+                results[side][workload] = run_bench(checkout, workload, seconds)
+
+    note = (
+        f"last stdout line of one run per workload and side, seed {SEED}, all on one host "
+        "in one sitting; the side that runs first alternates from workload to workload. The "
+        "change's src/ and tests/ are those of the commit that adds this file."
+    )
+    out = {
+        "command": f"python3 perfbench/run.py --workload <workload> --seed {SEED} "
+                   f"--seconds {seconds:g} --trace 0",
+        "note": f"{note} {args.note}".strip(),
+        "host": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+        },
+        "parent": {"commit": parent_commit, "workloads": results["parent"]},
+        "change": {"commit": "the commit that adds this file", "workloads": results["change"]},
+    }
+    path = ROOT / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(out, indent=1) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
