@@ -10,6 +10,8 @@ from treematch.enumeration import all_trees, random_forest
 from treematch.oracle import enumerate_perfect_matchings, has_perfect_matching
 from treematch.presets import BATTERY, cycle_graph, path_graph, star_graph
 
+from conftest import induced_tree_graph
+
 
 class TestDeriveFinite:
     def test_single_edge_is_forced(self):
@@ -132,6 +134,50 @@ class TestDeriveWindow:
         assert ROOT not in res.core
         assert (0,) not in res.core
         assert (0, 0) in res.core
+
+    def test_partner_beyond_the_window(self):
+        # The boundary vertex (0, 0) keeps only its child beyond the window.
+        res = derive_window(BATTERY["unary"]().window(2))
+        assert isinstance(res, DerivativeResult)
+        assert res.forced.sorted_pairs() == [((), (0,)), ((0, 0), (0, 0, 0))]
+        assert res.trace == (3, 2, 1, 0, 0)
+
+    def test_finite_machines_agree_with_derive(self):
+        # Layered machines: each state branches only into higher-numbered
+        # states and the last one has no children, so a window of depth
+        # max(2, states) holds the whole finite tree.
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(400):
+            n = rng.randint(2, 5)
+            branch = {f"s{i}": rng.randint(1, 3) for i in range(n - 1)}
+            branch[f"s{n - 1}"] = 0
+            step = {
+                (f"s{i}", j): f"s{rng.randint(i + 1, n - 1)}"
+                for i in range(n - 1)
+                for j in range(branch[f"s{i}"])
+            }
+            t = AutomaticTree.build("s0", branch, step)
+            win = t.window(max(2, n))
+            g, order = induced_tree_graph(t, win.paths)
+            got, want = derive_window(win), derive(g)
+            assert type(got) is type(want), step
+            if isinstance(want, DerivativeConflict):
+                outcomes.add(want.kind)
+                assert got.kind == want.kind
+                assert got.vertex == order[want.vertex]
+                assert got.partners == tuple(order[v] for v in want.partners)
+                assert got.stage == want.stage
+                assert got.trace == want.trace
+            else:
+                outcomes.add("perfect" if not want.core else "core")
+                assert got.core == frozenset(order[v] for v in want.core)
+                assert got.forced.sorted_pairs() == [
+                    (order[a], order[b]) for a, b in want.forced.sorted_pairs()
+                ]
+                assert (got.trace, got.rounds) == (want.trace, want.rounds)
+            assert isinstance(got, DerivativeConflict) == (not has_perfect_matching(g))
+        assert {"isolated", "double_forced", "perfect"} <= outcomes
 
     def test_requires_depth_at_least_two(self):
         with pytest.raises(ValueError):
