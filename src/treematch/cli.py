@@ -162,7 +162,6 @@ def _cmd_derivative(args, stats, digest_parts):
         g = _parse_graph_text(_read(args.graph, digest_parts))
         result = derive(g)
         label = str
-        sort_key = None
         stats["vertices"] = g.vertex_count
     else:
         t = _parse_tree_text(_read(args.tree, digest_parts))
@@ -326,6 +325,14 @@ _HANDLERS = {
 }
 
 
+def _budget(text: str) -> int:
+    # A budget below one allows no step at all, so no run could finish.
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"budget must be at least 1, not {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="treematch",
@@ -351,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     me = sub.add_parser("match-ends", help="end-based matching with exceptional-set report")
     me.add_argument("--tree", required=True)
     me.add_argument("--end", action="append", required=True, help="end descriptor, repeatable")
-    me.add_argument("--budget", type=int, default=10_000)
+    me.add_argument("--budget", type=_budget, default=10_000)
     common(me, depth_default=6)
 
     sd = sub.add_parser("subdivide", help="edge subdivision of a finite graph")
@@ -361,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bs = sub.add_parser("baire-sweep", help="closure/buffer sweep around seed vertices")
     bs.add_argument("--tree", required=True)
     bs.add_argument("--seed", action="append", required=True, help="seed path, repeatable")
-    bs.add_argument("--budget", type=int, default=10_000)
+    bs.add_argument("--budget", type=_budget, default=10_000)
     common(bs, depth_default=8)
 
     ce = sub.add_parser("counterexample", help="dump levels of the pair-system recursion")

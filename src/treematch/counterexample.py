@@ -187,13 +187,6 @@ def _even_step(ls: LevelSystem) -> LevelSystem:
     )
 
 
-def advance(ls: LevelSystem) -> LevelSystem:
-    """One odd and one even step from an even level."""
-    if ls.n % 2 != 0:
-        raise ValueError("advance starts from an even level")
-    return _even_step(_odd_step(ls))
-
-
 def levels(max_n: int):
     """Yield every level 0..max_n in order."""
     ls = init_level()

@@ -11,15 +11,8 @@ forced pairs extend any perfect matching of the core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .graph_core import (
-    ROOT,
-    FiniteGraph,
-    Matching,
-    Window,
-    _vertex_key,
-)
+from .graph_core import FiniteGraph, Matching, Window
 
 
 @dataclass(frozen=True)
@@ -40,73 +33,72 @@ class DerivativeConflict:
     trace: tuple  # stage sizes, the input's first
 
 
-def _run(
-    start,
-    alive_neighbors: Callable,
-    outside_count: Callable,
-    outside_partner: Callable,
-    max_rounds: int | None,
-):
-    x_set = set(start)
-    trace = [len(x_set)]
+def _run(names, nbrs, outside, max_rounds: int | None):
+    """The derivative over vertex ids 0..n-1, n = len(names), with names[v]
+    naming v in the result. nbrs[v] lists v's neighbours in ascending order;
+    outside[v] counts v's children beyond the window, which always count as
+    present. A vertex left with only such a child is forced into it: its
+    partner is coded -1 - v and named names[v] + (0,)."""
+
+    def name(v):
+        return names[v] if v >= 0 else names[-1 - v] + (0,)
+
+    def result(stabilized):
+        core = frozenset(names[v] for v, a in enumerate(alive) if a)
+        forced = Matching.of((name(a), name(b)) for a, b in pairs)
+        return DerivativeResult(core, forced, tuple(trace), stabilized, rounds)
+
+    n = len(names)
+    alive = [True] * n
+    degree = [len(nbrs[v]) + outside[v] for v in range(n)]
+    removed = [v for v in range(n) if degree[v] <= 1]
+    trace = [n]
     pairs = []
     rounds = 0
     while True:
         if max_rounds is not None and rounds >= max_rounds:
-            return DerivativeResult(
-                frozenset(x_set), Matching.of(pairs), tuple(trace), False, rounds
-            )
-        stage = 2 * rounds + 1
-        degree_of = {}
-        for v in x_set:
-            degree_of[v] = len(alive_neighbors(v, x_set)) + outside_count(v)
-        removed = {v for v in x_set if degree_of[v] <= 1}
+            return result(False)
         if not removed:
-            return DerivativeResult(
-                frozenset(x_set), Matching.of(pairs), tuple(trace), True, rounds
-            )
+            return result(True)
+        stage = 2 * rounds + 1
         rounds += 1
-        isolated = sorted((v for v in removed if degree_of[v] == 0), key=_vertex_key)
-        if isolated:
-            return DerivativeConflict("isolated", isolated[0], (), stage, tuple(trace))
-        partner = {}
-        for v in sorted(removed, key=_vertex_key):
-            inside = alive_neighbors(v, x_set)
-            partner[v] = inside[0] if inside else outside_partner(v)
+        for v in removed:
+            if degree[v] == 0:
+                return DerivativeConflict("isolated", name(v), (), stage, tuple(trace))
+        partner = {v: next((w for w in nbrs[v] if alive[w]), -1 - v) for v in removed}
+        # A removed vertex has at most one neighbour left, its partner, so
+        # only a vertex kept in the odd stage can be forced twice.
         forced_by = {}
-        for v in sorted(removed, key=_vertex_key):
+        for v in removed:
             forced_by.setdefault(partner[v], []).append(v)
-        for target in sorted(forced_by, key=_vertex_key):
-            forcers = forced_by[target]
-            if target in removed:
-                others = [v for v in forcers if v != partner[target]]
-                if others:
-                    bad = sorted([others[0], partner[target]], key=_vertex_key)
-                    return DerivativeConflict(
-                        "double_forced", target, tuple(bad), stage, tuple(trace)
-                    )
-            elif len(forcers) >= 2:
-                return DerivativeConflict(
-                    "double_forced", target, tuple(forcers[:2]), stage, tuple(trace)
-                )
-        for v in sorted(removed, key=_vertex_key):
-            if partner[v] not in removed or _vertex_key(v) < _vertex_key(partner[v]):
-                pairs.append((v, partner[v]))
-        x_odd = x_set - removed
-        trace.append(len(x_odd))
-        even_removed = {partner[v] for v in removed if partner[v] in x_odd}
-        x_set = x_odd - even_removed
-        trace.append(len(x_set))
+        clashes = [w for w, forcers in forced_by.items() if len(forcers) >= 2]
+        if clashes:
+            w = min(clashes)
+            bad = tuple(map(name, forced_by[w][:2]))
+            return DerivativeConflict("double_forced", name(w), bad, stage, tuple(trace))
+        pairs += [(v, w) for v, w in partner.items() if w not in partner or v < w]
+        trace.append(trace[-1] - len(removed))
+        # Each forced partner still present goes in the even stage; no two
+        # forcers share one, so they are distinct.
+        dead = removed + [w for w in partner.values() if w >= 0 and w not in partner]
+        trace.append(trace[-1] - len(dead) + len(removed))
+        for v in dead:
+            alive[v] = False
+        # Only the dead vertices' surviving neighbours lose degree, and every
+        # other survivor kept degree two or more.
+        touched = set()
+        for v in dead:
+            for w in nbrs[v]:
+                if alive[w]:
+                    degree[w] -= 1
+                    touched.add(w)
+        removed = sorted(w for w in touched if degree[w] <= 1)
 
 
 def derive(g: FiniteGraph, max_rounds: int | None = None):
     """Run the derivative on a finite graph. Returns DerivativeResult or
     DerivativeConflict."""
-
-    def alive_neighbors(v, x_set):
-        return [w for w in g.neighbors(v) if w in x_set]
-
-    return _run(range(g.vertex_count), alive_neighbors, lambda v: 0, lambda v: None, max_rounds)
+    return _run(range(g.vertex_count), g.adjacency, [0] * g.vertex_count, max_rounds)
 
 
 def derive_window(win: Window, max_rounds: int | None = None):
@@ -118,33 +110,13 @@ def derive_window(win: Window, max_rounds: int | None = None):
     """
     if win.depth < 2:
         raise ValueError("window derivative needs depth >= 2")
-    t, depth = win.tree, win.depth
-    # Each vertex's neighbors in window order, which decides a forced
-    # vertex's partner: its parent, then its children, which are the next
-    # branch_of(state) window paths not yet taken.
-    nbrs = {ROOT: ()}
-    outside = {}  # boundary vertex -> its child count; all lie beyond the window
-    taken = 1
-    for v, q in zip(win.paths, win.states):
-        k = t.branch_of(q)
-        if len(v) == depth:
-            outside[v] = k
-            continue
-        children = win.paths[taken : taken + k]
-        taken += k
-        nbrs[v] += children
-        for w in children:
-            nbrs[w] = (v,)
-
-    def alive_neighbors(v, x_set):
-        return [w for w in nbrs[v] if w in x_set]
-
-    def outside_count(v):
-        return outside.get(v, 0)
-
-    def outside_partner(v):
-        # Only called when v has exactly one neighbor overall and it lies
-        # beyond the window: the single child of a boundary vertex.
-        return v + (0,)
-
-    return _run(win.paths, alive_neighbors, outside_count, outside_partner, max_rounds)
+    # Window indices follow shortlex order: a vertex's parent comes before
+    # it and its children, next to each other from child_start, after it.
+    first, boundary, n = win.child_start, win.boundary_start, len(win.paths)
+    nbrs = [[] for _ in range(n)]
+    for v in range(boundary):
+        for w in range(first[v], first[v + 1]):
+            nbrs[v].append(w)
+            nbrs[w].append(v)
+    outside = [0] * boundary + [first[v + 1] - first[v] for v in range(boundary, n)]
+    return _run(win.paths, nbrs, outside, max_rounds)

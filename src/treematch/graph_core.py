@@ -114,17 +114,6 @@ class Matching:
         self.validate_on(g)
         return len(self.partner_map) == g.vertex_count
 
-    def validate_on_tree(self, t: "AutomaticTree") -> None:
-        for a, b in self.pairs:
-            if abs(len(a) - len(b)) != 1:
-                raise ValueError(f"pair {render_path(a)} {render_path(b)} is not a tree edge")
-            child = a if len(a) > len(b) else b
-            parent = b if child is a else a
-            if child[: len(parent)] != parent:
-                raise ValueError(f"pair {render_path(a)} {render_path(b)} is not a tree edge")
-            if not t.is_valid_vertex(child):
-                raise ValueError(f"invalid vertex {render_path(child)}")
-
 
 @dataclass(frozen=True)
 class FiniteGraph:
@@ -295,9 +284,6 @@ class AutomaticTree:
 
     def children(self, v: TreeVertex) -> list:
         return [v + (i,) for i in range(self.branch_of(self.state_of(v)))]
-
-    def parent(self, v: TreeVertex) -> TreeVertex | None:
-        return v[:-1] if v else None
 
     def neighbors(self, v: TreeVertex) -> list:
         """Children in ascending index order, then the parent."""

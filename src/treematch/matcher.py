@@ -40,8 +40,6 @@ from .graph_core import (
     ROOT,
     AutomaticTree,
     EndDescriptor,
-    FiniteGraph,
-    Matching,
     TreeVertex,
     Window,
     divergence_length,
@@ -79,7 +77,7 @@ class MatchingOracle:
     anchors(depth), when given, names the finite prefix-closed set of
     vertices that a window pass of that depth asks pointwise; every other
     vertex follows the anchor rule (module docstring). Without it every
-    window vertex is asked."""
+    window vertex is an anchor."""
 
     def __init__(
         self,
@@ -115,15 +113,16 @@ class MatchingOracle:
         by window index), in one top-down pass.
 
         Anchors and the children of vertices in skip are asked pointwise,
-        in window order (every vertex is, for an oracle without anchors); a
-        partner so asked is asked at once when it is an anchor too, as a
-        pointwise sweep would. Every other vertex follows the anchor rule: it
-        pairs with its parent if the parent pairs with it, and otherwise
-        with its child 0. By window index the pass checks that each partner
-        is a tree neighbour, that the involution holds inside the window and
-        that a vertex of skip is claimed at most once (ValueError "matched
-        twice" otherwise). A partner one level beyond the window that was
-        asked pointwise is asked back after the pass and must point back.
+        in window order (for an oracle without anchors every window vertex
+        is an anchor); a partner so asked is asked at once when it is an
+        anchor too, as a pointwise sweep would. Every other vertex follows
+        the anchor rule: it pairs with its parent if the parent pairs with
+        it, and otherwise with its child 0. By window index the pass checks
+        that each partner is a tree neighbour, that the involution holds
+        inside the window and that a vertex of skip is claimed at most once
+        (ValueError "matched twice" otherwise). A partner one level beyond
+        the window that was asked pointwise is asked back after the pass and
+        must point back.
         """
         paths, states, first = win.paths, win.states, win.child_start
         tree = win.tree
@@ -131,15 +130,12 @@ class MatchingOracle:
         n = len(paths)
         out = WindowPairs(win)
         pairs, uppers, left_out, beyond = out, out.uppers, out.left_out, out.beyond
-        if self._anchors is None:
-            anchors = None
-        else:
-            anchors = set(self._anchors(win.depth))
-            for a in anchors:
-                if a and a[:-1] not in anchors:
-                    raise ValueError(f"anchor {render_path(a)} lacks its parent")
+        anchors = set(paths if self._anchors is None else self._anchors(win.depth))
+        for a in anchors:
+            if a and a[:-1] not in anchors:
+                raise ValueError(f"anchor {render_path(a)} lacks its parent")
         skipped = set(skip)
-        anchored = {0} if anchors is not None and ROOT in anchors else set()
+        anchored = {0} if ROOT in anchors else set()
         asked = set()
         claimed = set()  # vertices of skip claimed as a partner
         # Families whose children are not all ruled: below an anchor, in skip
@@ -159,7 +155,7 @@ class MatchingOracle:
                     raise ValueError(f"invalid vertex {render_path(p)}")
                 if c < boundary:
                     below = first[c] + p[-1]
-                    if below not in skipped and (anchors is None or p in anchors):
+                    if below not in skipped and p in anchors:
                         self.partner(p)
                 return p[-1]
             if d and len(p) == d - 1 and p == v[:-1]:
@@ -174,7 +170,7 @@ class MatchingOracle:
             claimed.add(c)
 
         if 0 not in skipped:
-            choice[0] = ask(0) if anchors is None or anchored else 0
+            choice[0] = ask(0) if anchored else 0
         zeros = [0] * max(branch.values(), default=0)
         for j in range(boundary):
             up = choice[j]
@@ -191,7 +187,7 @@ class MatchingOracle:
                 pairs.append((v, paths[start + up]))
                 uppers.append(j)
             end = start + k
-            if anchors is not None and j not in slow:
+            if j not in slow:
                 choice[start:end] = zeros[:k]
                 if up is not None and up >= 0:
                     choice[start + up] = PARENT
@@ -206,7 +202,7 @@ class MatchingOracle:
                         claim(c)
                         left_out.append(pairs[-1])
                     continue
-                if anchors is None or c in anchored or j in skipped:
+                if c in anchored or j in skipped:
                     code = ask(c)
                     if code == PARENT:
                         if up is None:
@@ -360,44 +356,6 @@ def rooted_matching(t: AutomaticTree) -> MatchingOracle:
             raise ValueError(f"state {q!r} has no children")
     comp = _Component(t, ROOT)
     return MatchingOracle(t, lambda v: True, comp.partner, "rooted", _prefixes_of(ROOT))
-
-
-@dataclass(frozen=True)
-class BijectionResult:
-    matching: Matching | None
-    odd_cycle: tuple | None
-
-
-def permutation_graph(perm: Sequence) -> FiniteGraph:
-    return FiniteGraph.from_edges(len(perm), ((x, perm[x]) for x in range(len(perm))))
-
-
-def bijection_graph_matching(perm: Sequence) -> BijectionResult:
-    """Match the graph generated by a fixed-point-free permutation: alternate
-    pairs around each cycle; an odd cycle is returned as the obstruction."""
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation of 0..n-1")
-    for x in range(n):
-        if perm[x] == x:
-            raise ValueError(f"fixed point at {x}")
-    seen = set()
-    pairs = []
-    for start in range(n):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        x = perm[start]
-        while x != start:
-            cycle.append(x)
-            seen.add(x)
-            x = perm[x]
-        if len(cycle) % 2 == 1:
-            return BijectionResult(None, tuple(cycle))
-        for i in range(0, len(cycle), 2):
-            pairs.append((cycle[i], cycle[i + 1]))
-    return BijectionResult(Matching.of(pairs), None)
 
 
 @dataclass(frozen=True)

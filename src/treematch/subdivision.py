@@ -26,11 +26,6 @@ class SubdivisionGraph:
     def edge_index(self) -> dict:
         return {e: self.base_vertex_count + j for j, e in enumerate(self.edge_labels)}
 
-    def point_id(self, v: int) -> int:
-        if not (0 <= v < self.base_vertex_count):
-            raise ValueError(f"no point {v}")
-        return v
-
     def edge_id(self, a: int, b: int) -> int:
         key = (min(a, b), max(a, b))
         if key not in self.edge_index:

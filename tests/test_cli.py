@@ -403,6 +403,18 @@ class TestFormatErrors:
         )
         assert code == 0
 
+    def test_budget_below_one_is_a_usage_error(self, files):
+        for argv in (
+            ["match-ends", "--tree", files["t3.tree"], "--end", "|0"],
+            ["baire-sweep", "--tree", files["t3.tree"], "--seed", "/"],
+        ):
+            for budget in ("0", "-1"):
+                code, out, err = cli_run(argv + ["--budget", budget])
+                assert code == 2, (argv, budget)
+                assert out == ""
+                assert "report " not in err
+                assert "budget must be at least 1" in err
+
 
 class TestOutputFile:
     def test_out_receives_the_bytes_and_code_is_kept(self, files, tmp_path):

@@ -12,7 +12,6 @@ import pytest
 from treematch.counterexample import (
     LevelSystem,
     SectionReport,
-    advance,
     check_acyclic,
     check_condition1,
     check_condition2,
@@ -314,11 +313,6 @@ class TestConditionsAndAcyclicity:
         ok, cycle = check_acyclic(fabricated)
         assert not ok
         assert cycle
-
-    def test_advance_requires_an_even_level(self):
-        odd = list(levels(1))[1]
-        with pytest.raises(ValueError):
-            advance(odd)
 
 
 class TestSchedule:

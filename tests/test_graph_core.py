@@ -77,12 +77,6 @@ class TestMatching:
         assert Matching.of([(0, 1), (2, 3)]).is_perfect_on(g)
         assert not Matching.of([(0, 1)]).is_perfect_on(g)
 
-    def test_validate_on_tree(self):
-        t = BATTERY["binary"]()
-        Matching.of([(ROOT, (0,)), ((1,), (1, 0))]).validate_on_tree(t)
-        with pytest.raises(ValueError):
-            Matching.of([((0,), (1,))]).validate_on_tree(t)
-
     @given(st.sets(st.integers(0, 30), min_size=2, max_size=12))
     def test_of_is_idempotent(self, verts):
         vs = sorted(verts)
@@ -123,8 +117,6 @@ class TestAutomaticTree:
     def test_children_and_parent(self):
         t = BATTERY["three_regular"]()
         assert t.children(ROOT) == [(0,), (1,), (2,)]
-        assert t.parent((0, 1)) == (0,)
-        assert t.parent(ROOT) is None
         assert t.neighbors((0,)) == [(0, 0), (0, 1), ROOT]
 
     def test_vertex_validity_follows_branching(self):

@@ -1,4 +1,4 @@
-"""Constructive matchings: rooted, bijection-generated, and end-based."""
+"""Constructive matchings: rooted and end-based."""
 
 from random import Random
 
@@ -18,16 +18,14 @@ from treematch.errors import BudgetExceededError, InvariantViolationError
 from treematch.matcher import (
     EndsOutput,
     MatchingOracle,
-    bijection_graph_matching,
     many_end_matching,
     match_ends,
     one_end_matching,
-    permutation_graph,
     rooted_matching,
     two_end_matching,
     verify_ends_output,
 )
-from treematch.oracle import enumerate_perfect_matchings, has_perfect_matching
+from treematch.oracle import enumerate_perfect_matchings
 from treematch.presets import BAD_RAY_TRUTH, BATTERY, BATTERY_ENDS, battery_ends
 
 from conftest import check_window_matching, induced_tree_graph
@@ -81,42 +79,6 @@ class TestRootedMatching:
         b = rooted_matching(BATTERY["mixed_period"]())
         for v in BATTERY["mixed_period"]().window(5).paths:
             assert a.partner(v) == b.partner(v)
-
-
-class TestBijectionGraphMatching:
-    def test_four_cycle_rotation(self):
-        perm = [1, 2, 3, 0]
-        res = bijection_graph_matching(perm)
-        assert res.odd_cycle is None
-        assert len(res.matching) == 2
-        assert res.matching.is_perfect_on(permutation_graph(perm))
-
-    def test_three_cycle_has_no_matching(self):
-        res = bijection_graph_matching([1, 2, 0])
-        assert res.matching is None
-        assert set(res.odd_cycle) == {0, 1, 2}
-
-    def test_two_cycle_times_six_cycle(self):
-        perm = [1, 0, 3, 4, 5, 6, 7, 2]
-        res = bijection_graph_matching(perm)
-        assert res.matching is not None
-        assert len(res.matching) == 4
-        g = permutation_graph(perm)
-        assert res.matching.is_perfect_on(g)
-        assert has_perfect_matching(g)
-
-    def test_odd_cycle_witness_among_even_cycles(self):
-        res = bijection_graph_matching([1, 2, 0, 4, 3])
-        assert res.matching is None
-        assert set(res.odd_cycle) == {0, 1, 2}
-
-    def test_rejects_fixed_points(self):
-        with pytest.raises(ValueError):
-            bijection_graph_matching([0, 2, 1])
-
-    def test_rejects_non_permutations(self):
-        with pytest.raises(ValueError):
-            bijection_graph_matching([1, 1, 0])
 
 
 class TestOneEnd:

@@ -27,7 +27,6 @@ class TestSubdivide:
         assert sub.label(2) == ("edge", (0, 1))
         assert sub.label(0) == ("point", 0)
         assert sub.edge_id(1, 0) == 2
-        assert sub.point_id(1) == 1
 
     def test_triangle_becomes_six_cycle(self):
         sub = subdivide(cycle_graph(3))
