@@ -80,8 +80,9 @@ def _run(names, nbrs, outside, max_rounds: int | None):
         trace.append(trace[-1] - len(removed))
         # Each forced partner still present goes in the even stage; no two
         # forcers share one, so they are distinct.
-        dead = removed + [w for w in partner.values() if w >= 0 and w not in partner]
-        trace.append(trace[-1] - len(dead) + len(removed))
+        even = [w for w in partner.values() if w >= 0 and w not in partner]
+        trace.append(trace[-1] - len(even))
+        dead = removed + even
         for v in dead:
             alive[v] = False
         # Only the dead vertices' surviving neighbours lose degree, and every
