@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -91,9 +90,6 @@ class Matching:
     def partner(self, v):
         return self.partner_map.get(v)
 
-    def vertices(self) -> frozenset:
-        return frozenset(self.partner_map)
-
     def sorted_pairs(self) -> list:
         return sorted(self.pairs, key=lambda p: (_vertex_key(p[0]), _vertex_key(p[1])))
 
@@ -143,9 +139,6 @@ class FiniteGraph:
             adj[b].append(a)
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
-    def vertices(self) -> range:
-        return range(self.vertex_count)
-
     def neighbors(self, v: int) -> tuple:
         return self.adjacency[v]
 
@@ -174,15 +167,6 @@ class FiniteGraph:
     def is_acyclic(self) -> bool:
         # A simple graph is a forest iff |E| = |V| - #components.
         return len(self.edges) == self.vertex_count - len(self.components())
-
-    def induced(self, keep: Iterable) -> tuple:
-        """Induced subgraph on `keep`; returns (graph, old-id table)."""
-        old = tuple(sorted(set(keep)))
-        index = {v: i for i, v in enumerate(old)}
-        edges = [
-            (index[a], index[b]) for a, b in self.edges if a in index and b in index
-        ]
-        return FiniteGraph.from_edges(len(old), edges), old
 
 
 def _reachable(root_state: str, branch: dict, step: dict) -> set:
@@ -448,10 +432,12 @@ def validate_end(t: AutomaticTree, e: EndDescriptor) -> bool:
 
 def divergence_length(a: EndDescriptor, b: EndDescriptor) -> int | None:
     """Depth of the last common vertex of the two rays, or None when both
-    descriptors name the same index sequence. Two eventually periodic
-    sequences that agree on their first pre_a + pre_b + 2*lcm(per_a, per_b)
-    indices agree everywhere, so only that many are compared."""
-    bound = len(a.preperiod) + len(b.preperiod) + 2 * math.lcm(len(a.period), len(b.period))
+    descriptors name the same index sequence. Past the longer preperiod both
+    sequences are purely periodic, with periods p and q, and by the theorem
+    of Fine and Wilf two such sequences that agree on p + q consecutive
+    places agree everywhere. So only max(pre_a, pre_b) + p + q indices are
+    compared, and the rays are never unrolled to the lcm of the periods."""
+    bound = max(len(a.preperiod), len(b.preperiod)) + len(a.period) + len(b.period)
     for i, (x, y) in enumerate(zip(a.prefix(bound), b.prefix(bound))):
         if x != y:
             return i

@@ -1,31 +1,31 @@
 """Constructive perfect matchings on finitely presented infinite trees.
 
-All constructions answer pointwise partner queries: an oracle holds a domain
-predicate and a partner function, and totality/involution are only ever
-checked on finite windows. The one- and two-end constructions classify each
-queried vertex against a doubly infinite line spanned by two rays, and
-delegate everything hanging off that line to oriented component matchings.
-One class, _Line, holds that line's coordinates for both. For two ends the
-rays are the given ends; for one end they are the end and the leftmost
-descent from the lowest root child off it, so the line runs through the
-root. The subclasses add only their partner rules.
+All constructions answer pointwise partner queries, and totality/involution
+are only ever checked on finite windows. An oracle holds a domain predicate,
+a partner function and a finite prefix-closed set of anchors per depth: the
+root for the rooted matching and the one-end fallback, the prefixes of the
+component root for the many-end matching, and the prefixes of the line's
+divergence vertex m plus the line's vertices for the one- and two-end
+constructions. The line is spanned by two rays, and one class, _Line, holds
+its coordinates for both. For two ends the rays are the given ends; for one
+end they are the end and the leftmost descent from the lowest root child
+off it, so the line runs through the root and m is the root. The
+subclasses add only their partner rules at the anchors.
 
-A window is read in one top-down pass (MatchingOracle.restricted_pairs).
-Each construction names a finite prefix-closed set of anchors, which the
-pass asks pointwise: the root for the rooted matching and the one-end
-fallback, the prefixes of the component root for the many-end matching,
-and the prefixes of m plus the line's vertices down to the window depth for
-the one- and two-end lines. Every other vertex follows the anchor rule: it
-pairs with its parent if the parent pairs with it, and otherwise with its
-child 0. That is _Component's rule wherever three things hold, and off the
-anchors they do. The neighbour toward the component root is the tree
-parent, since a component root and the vertices between it and the tree
-root are anchors. No filter cuts a child: the filters cut only line
-vertices, and a non-anchor has none below it. And a vertex whose parent is
-matched elsewhere starts a new chain of parity 0, so it takes its first
-kept neighbour, child 0. The children of a vertex left out of the pass
-(the exceptional line of a two-end matching) are asked pointwise, as the
-roots of the components hanging there.
+The partner function is asked only at the anchors. Everywhere else the
+anchor rule is the definition: a vertex pairs with its parent if the parent
+pairs with it, and otherwise with its child 0; an anchor outside the domain
+(the exceptional line of a two-end matching) pairs with nobody.
+MatchingOracle.partner applies the rule upward from a query to the nearest
+known vertex or anchor, and a window pass (MatchingOracle.restricted_pairs)
+applies it top-down. The rule is each construction's component matching off
+the anchors, because _Component's rule reduces to it wherever three things
+hold, and off the anchors they do. The neighbour toward the component root
+is the tree parent, since a component root and the vertices between it and
+the tree root are anchors. No filter cuts an edge below a non-anchor: the
+filters cut only edges at or to line vertices, and a non-anchor has none
+below it. And a vertex whose parent is matched elsewhere starts a new chain
+of parity 0, so it takes its first kept neighbour, child 0.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError
@@ -74,10 +75,12 @@ class MatchingOracle:
     """Pointwise access to a matching: a domain predicate plus a partner
     function, with memoized queries.
 
-    anchors(depth), when given, names the finite prefix-closed set of
-    vertices that a window pass of that depth asks pointwise; every other
-    vertex follows the anchor rule (module docstring). Without it every
-    window vertex is an anchor."""
+    anchors(depth), when given, names a finite prefix-closed set of vertices
+    down to depth, the only vertices partner_fn is asked about. It holds
+    every vertex outside the domain, and cut to a smaller depth d it is
+    anchors(d). The root always counts as an anchor. Every other vertex
+    follows the anchor rule (module docstring). Without anchors every vertex
+    is one."""
 
     def __init__(
         self,
@@ -92,37 +95,65 @@ class MatchingOracle:
         self._partner_fn = partner_fn
         self.description = description
         self._anchors = anchors
-        self._memo: dict = {}
+        self._anchor_set: set = set()
+        self._anchor_depth = -1  # the depth _anchor_set was built for
+        self._memo: dict = {}  # vertex -> partner, None for an anchor outside the domain
 
     def in_domain(self, v: TreeVertex) -> bool:
         return self.tree.is_valid_vertex(v) and bool(self._in_domain(v))
 
+    def _anchors_to(self, depth: int) -> set:
+        """The anchors down to depth, built again only for a deeper depth."""
+        if depth > self._anchor_depth:
+            self._anchor_set = {ROOT, *self._anchors(depth)}
+            self._anchor_depth = depth
+        return self._anchor_set
+
     def partner(self, v: TreeVertex) -> TreeVertex:
-        if v in self._memo:
-            return self._memo[v]
+        memo = self._memo
+        p = memo.get(v)
+        if p is not None:
+            return p
         if not self.tree.is_valid_vertex(v):
             raise ValueError(f"invalid vertex {render_path(v)}")
         if not self._in_domain(v):
             raise ValueError(f"vertex {render_path(v)} is outside the oracle domain")
-        p = self._partner_fn(v)
-        self._memo[v] = p
-        return p
+        if self._anchors is None:
+            p = memo[v] = self._partner_fn(v)
+            return p
+        # Climb to the nearest known vertex or anchor, in a loop so that a
+        # query far below works, then apply the anchor rule downward.
+        anchors = self._anchors_to(len(v))
+        path = [v]
+        while path[-1] not in memo and path[-1] not in anchors:
+            path.append(path[-1][:-1])
+        x = path.pop()
+        if x not in memo:
+            memo[x] = self._partner_fn(x) if x is v or self._in_domain(x) else None
+        for y in reversed(path):
+            memo[y] = x if memo[x] == y else y + (0,)
+            x = y
+        return memo[v]
 
     def restricted_pairs(self, win: Window, skip: Collection = ()) -> WindowPairs:
         """The matching seen from the window minus the vertices in skip (given
         by window index), in one top-down pass.
 
-        Anchors and the children of vertices in skip are asked pointwise,
-        in window order (for an oracle without anchors every window vertex
-        is an anchor); a partner so asked is asked at once when it is an
-        anchor too, as a pointwise sweep would. Every other vertex follows
-        the anchor rule: it pairs with its parent if the parent pairs with
-        it, and otherwise with its child 0. By window index the pass checks
-        that each partner is a tree neighbour, that the involution holds
-        inside the window and that a vertex of skip is claimed at most once
-        (ValueError "matched twice" otherwise). A partner one level beyond
-        the window that was asked pointwise is asked back after the pass and
-        must point back.
+        The anchors are asked pointwise, in window order (for an oracle
+        without anchors every window vertex is an anchor); a partner so
+        asked is asked at once when it is an anchor too, as a pointwise
+        sweep would. Every other vertex follows the anchor rule, as partner
+        does: it pairs with its parent if the parent pairs with it, and
+        otherwise with its child 0. A vertex of skip is not asked. Outside
+        the domain it pairs with nobody, so its children off the anchors
+        take child 0; inside the domain its children are asked, which finds
+        its pair.
+
+        By window index the pass checks that each partner is a tree
+        neighbour, that the involution holds inside the window and that a
+        vertex of skip is claimed at most once (ValueError "matched twice"
+        otherwise). A partner one level beyond the window that was asked
+        pointwise is asked back after the pass and must point back.
         """
         paths, states, first = win.paths, win.states, win.child_start
         tree = win.tree
@@ -130,12 +161,13 @@ class MatchingOracle:
         n = len(paths)
         out = WindowPairs(win)
         pairs, uppers, left_out, beyond = out, out.uppers, out.left_out, out.beyond
-        anchors = set(paths if self._anchors is None else self._anchors(win.depth))
+        anchors = set(paths) if self._anchors is None else self._anchors_to(win.depth)
         for a in anchors:
             if a and a[:-1] not in anchors:
                 raise ValueError(f"anchor {render_path(a)} lacks its parent")
         skipped = set(skip)
-        anchored = {0} if ROOT in anchors else set()
+        inside = {c for c in skipped if self._in_domain(paths[c])}
+        anchored = {0}
         asked = set()
         claimed = set()  # vertices of skip claimed as a partner
         # Families whose children are not all ruled: below an anchor, in skip
@@ -170,7 +202,7 @@ class MatchingOracle:
             claimed.add(c)
 
         if 0 not in skipped:
-            choice[0] = ask(0) if anchored else 0
+            choice[0] = ask(0)
         zeros = [0] * max(branch.values(), default=0)
         for j in range(boundary):
             up = choice[j]
@@ -202,7 +234,7 @@ class MatchingOracle:
                         claim(c)
                         left_out.append(pairs[-1])
                     continue
-                if c in anchored or j in skipped:
+                if c in anchored or j in inside:
                     code = ask(c)
                     if code == PARENT:
                         if up is None:
@@ -323,15 +355,6 @@ class _Component:
                 f"component vertex {render_path(v)} has no child to pair with"
             )
         return v[:-1] if first == -1 else v + (first,)
-
-
-def _common_prefix_len(a: TreeVertex, b: TreeVertex) -> int:
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
 
 
 def _prefixes_of(root: TreeVertex) -> Callable:
@@ -478,7 +501,6 @@ class _Line:
             self.a0 = t.branch_of(state_m) >= 3
         else:
             self.a0 = t.branch_of(state_m) >= 2
-        self._closed: dict = {}  # (root, cut) -> the component matching root's side
 
     def vertex_at(self, pos: int) -> TreeVertex:
         if pos >= 0:
@@ -522,37 +544,12 @@ class _Line:
     def prev_a(self, pos: int) -> int | None:
         return self._scan(pos, -1)
 
-    def attachment(self, v: TreeVertex) -> tuple:
-        """(position of the line vertex x nearest v, x, first vertex u on the
-        path from x toward v), with u None when v is on the line. One
-        comparison with a ray answers both."""
-        n = len(v)
-        m_len = self.m_len
-        if n > m_len:
-            on_e1 = v[m_len] == self._e1_turn
-            ray = (self.e1 if on_e1 else self.e2).prefix(n)
-            cut = n if v == ray else _common_prefix_len(v, ray)
-            if cut >= m_len:
-                pos = m_len - cut if on_e1 else cut - m_len
-                return pos, v[:cut], v[: cut + 1] if cut < n else None
-        elif v == self.m:
-            return 0, v, None
-        return 0, self.m, self.m[:-1]
-
     def anchors(self, depth: int) -> list:
         """The prefixes of m and the line's vertices down to depth."""
         out = [self.m[:n] for n in range(self.m_len + 1)]
         for n in range(self.m_len + 1, depth + 1):
             out += (self.e1.prefix(n), self.e2.prefix(n))
         return out
-
-    def closed_component(self, root: TreeVertex, cut: TreeVertex) -> _Component:
-        """The component of root once its edge to the neighbor cut is
-        removed, built once per (root, cut)."""
-        comp = self._closed.get((root, cut))
-        if comp is None:
-            comp = self._closed[(root, cut)] = _Component(self.t, root, lambda v, ch: ch != cut)
-        return comp
 
 
 class _OneEndSpine(_Line):
@@ -568,9 +565,6 @@ class _OneEndSpine(_Line):
 
     def n_of(self, p: int) -> int:
         return self.next_a(p) - p
-
-    def is_aprime(self, p: int) -> bool:
-        return self.a_at(p) and self.n_of(p) % 2 == 1
 
     def run_interval(self, p: int) -> tuple:
         """Maximal interval of consecutive flagged positions around p,
@@ -617,17 +611,9 @@ class _OneEndSpine(_Line):
         return _Component(self.t, self.vertex_at(w_pos), keep)
 
     def partner(self, v: TreeVertex) -> TreeVertex:
-        pos, x, u = self.attachment(v)
-        if u is not None:
-            # A subtree hanging at an odd-gap branching vertex joins that
-            # vertex's run component; the answer is cached with the rest.
-            comp = self._closed.get((u, x))
-            if comp is None:
-                if self.is_aprime(pos):
-                    comp = self._closed[(u, x)] = self.run_component(pos)
-                else:
-                    comp = self.closed_component(u, x)
-            return comp.partner(v)
+        """The partner of an anchor. m is the root, so every anchor lies on
+        the line."""
+        pos = self.position_of(v)
         if self.a_at(pos):
             if self.n_of(pos) % 2 == 1:
                 return self.run_component(pos).partner(v)
@@ -688,7 +674,6 @@ class _TwoEndLine(_Line):
                     parities.add(j % 2)
         self.a_parities = frozenset(parities)
         self.odd_pair = len(parities) >= 2
-        self._line_partner_into: dict = {}  # line vertex -> its first hanging neighbor if selected
 
     def sel(self, pos: int) -> bool:
         """Selected branching vertices: the first-end-side endpoint of every
@@ -764,24 +749,20 @@ class _TwoEndLine(_Line):
         r = s2 - pos
         return self.vertex_at(pos - 1 if r % 2 == 1 else pos + 1)
 
-    def line_partner_into(self, x: TreeVertex, x_pos: int) -> TreeVertex | None:
-        """The hanging neighbor that line vertex x, at x_pos, pairs into, if any."""
-        if x not in self._line_partner_into:
-            hang = self.hanging_neighbors(x_pos) if self.sel(x_pos) else []
-            self._line_partner_into[x] = hang[0] if hang else None
-        return self._line_partner_into[x]
+    @cached_property
+    def _above(self) -> _Component:
+        """The part above m, as one component rooted at m in which m keeps
+        only its partner (none without an odd pair, where m is exceptional)."""
+        partner_of_m = self.partner_on_line(0) if self.odd_pair else None
+        return _Component(self.t, self.m, lambda v, ch: v != self.m or ch == partner_of_m)
 
     def partner(self, v: TreeVertex) -> TreeVertex:
-        """Without an odd pair, only vertices off the line are asked."""
-        pos, x, u = self.attachment(v)
-        if u is None:
-            return self.partner_on_line(pos)
-        if self.odd_pair and u == self.line_partner_into(x, pos):
-            if v == u:
-                return x
-            root2 = v[: len(u) + 1] if v[: len(u)] == u else u[:-1]
-            return self.closed_component(root2, u).partner(v)
-        return self.closed_component(u, x).partner(v)
+        """The partner of an anchor: a line vertex, or a prefix of m above
+        the line. Without an odd pair only the latter are asked."""
+        pos = self.position_of(v)
+        if pos is None:
+            return self._above.partner(v)
+        return self.partner_on_line(pos)
 
     def report(self) -> LineReport:
         sample = []
@@ -900,7 +881,6 @@ def match_ends(
         out = two_end_matching(t, reps[0], reps[1], budget)
     else:
         out = many_end_matching(t, reps)
-    out.n_ends = len(reps)
     out.window_size, out.b_vertices, out.pairs = verify_ends_output(t, out, check_depth)
     return out
 
@@ -915,14 +895,11 @@ def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> tuple:
     minus B, which checks tree edges, the involution and partners beyond
     the window it asked. No pair may then reach B: a left-out vertex inside
     the window, or a partner beyond it that was asked pointwise (the anchor
-    rule keeps the others off B). Off the anchors this certifies the anchor
-    rule, not out.oracle.partner: the pass asks partner only at anchors,
-    children of B vertices and asked partners beyond the window, so a
-    construction whose partner rule disagrees with the anchor rule elsewhere
-    still passes. TestWindowPass (tests/test_matcher.py) is the only guard
-    of that agreement. Returns (window size, B's window vertices in
-    shortlex order, the verified WindowPairs); raises
-    InvariantViolationError on failure."""
+    rule keeps the others off B). The pass asks partner only at the anchors
+    and applies the anchor rule elsewhere, which is how out.oracle.partner
+    itself answers off the anchors, so this certifies out.oracle.partner on
+    the window. Returns (window size, B's window vertices in shortlex order,
+    the verified WindowPairs); raises InvariantViolationError on failure."""
     win = t.window(depth)
     in_b = out.b_set.contains
     b_index = tuple(itertools.compress(range(len(win.paths)), map(in_b, win.paths)))

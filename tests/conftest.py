@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from treematch import AutomaticTree, FiniteGraph, shortlex
+from treematch import AutomaticTree, EndDescriptor, FiniteGraph, shortlex, validate_end
 from treematch.cli import run as cli_run_raw
 from treematch.presets import BATTERY
 
@@ -23,6 +23,37 @@ def cli_run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_run_raw(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def tree_text(t: AutomaticTree) -> str:
+    """The machine in the CLI's tree file format."""
+    lines = ["tree"]
+    lines += [f"state {q} branch {t.branch_of(q)}" for q in t.states]
+    lines.append(f"root {t.root_state}")
+    for q in t.states:
+        lines += [f"trans {q} {i} {t.step(q, i)}" for i in range(t.branch_of(q))]
+    return "\n".join(lines) + "\n"
+
+
+def random_machine(rng):
+    """A machine with at most 3 states and branch at most 3 whose root has
+    at least two children, and 1-3 random valid ends of it."""
+    while True:
+        states = [f"S{i}" for i in range(rng.randint(1, 3))]
+        branch = {q: rng.randint(0, 3) for q in states}
+        branch["S0"] = rng.randint(2, 3)
+        step = {(q, i): rng.choice(states) for q in states for i in range(branch[q])}
+        t = AutomaticTree.build("S0", branch, step)
+        ends = []
+        for _ in range(rng.randint(1, 3)):
+            for _ in range(50):
+                e = EndDescriptor(tuple(rng.randrange(3) for _ in range(rng.randint(0, 2))),
+                                  tuple(rng.randrange(3) for _ in range(rng.randint(1, 2))))
+                if validate_end(t, e):
+                    ends.append(e)
+                    break
+        if ends:
+            return t, ends
 
 
 def induced_tree_graph(t: AutomaticTree, vertices):

@@ -6,7 +6,7 @@ import pytest
 
 from treematch.presets import BATTERY, BATTERY_ENDS
 
-from conftest import cli_run
+from conftest import cli_run, tree_text
 
 P3 = "graph 3\ne 0 1\ne 1 2\n"
 P4 = "graph 4\ne 0 1\ne 1 2\ne 2 3\n"
@@ -243,15 +243,6 @@ class TestCounterexample:
         code, out, err = cli_run(["counterexample", "--levels", levels])
         assert code == 2
         assert err.startswith("error:")
-
-
-def tree_text(t):
-    lines = ["tree"]
-    lines += [f"state {q} branch {t.branch_of(q)}" for q in t.states]
-    lines.append(f"root {t.root_state}")
-    for q in t.states:
-        lines += [f"trans {q} {i} {t.step(q, i)}" for i in range(t.branch_of(q))]
-    return "\n".join(lines) + "\n"
 
 
 # sha256 of the stdout of each depth-10 tree command, recorded before the

@@ -1,5 +1,8 @@
 """Paths, matchings, finite graphs, branching machines, ends, bad rays."""
 
+import math
+from random import Random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -257,6 +260,25 @@ class TestEnds:
                 assert (d is None) == ends_equivalent(t, a, b)
                 if d is not None:
                     assert a.prefix(d) == b.prefix(d) and a.index(d) != b.index(d)
+
+    def test_divergence_length_agrees_with_the_lcm_bound(self):
+        # The reference compares pre_a + pre_b + 2 * lcm(p, q) indices.
+        rng = Random(5)
+        for _ in range(3000):
+            a, b = (EndDescriptor(tuple(rng.randrange(2) for _ in range(rng.randint(0, 4))),
+                                  tuple(rng.randrange(2) for _ in range(rng.randint(1, 6))))
+                    for _ in range(2))
+            n = len(a.preperiod) + len(b.preperiod) + 2 * math.lcm(len(a.period), len(b.period))
+            diff = [i for i in range(n) if a.index(i) != b.index(i)]
+            assert divergence_length(a, b) == (diff[0] if diff else None), (a, b)
+
+    def test_coprime_periods_stay_unrolled_to_their_sum(self):
+        # Equivalent ends with periods 2000 and 2001: the lcm is 4,002,000.
+        p, q = 2000, 2001
+        a, b = EndDescriptor((), (0,) * p), EndDescriptor((), (0,) * q)
+        assert ends_equivalent(BATTERY["binary"](), a, b)
+        assert divergence_length(a, b) is None
+        assert len(a._ray) < 4 * (p + q) and len(b._ray) < 4 * (p + q)
 
     def test_validate_end_respects_branching(self):
         t = BATTERY["three_regular"]()

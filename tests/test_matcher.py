@@ -12,7 +12,6 @@ from treematch import (
     ends_equivalent,
     has_bad_ray,
     shortlex,
-    validate_end,
 )
 from treematch.errors import BudgetExceededError, InvariantViolationError
 from treematch.matcher import (
@@ -28,7 +27,7 @@ from treematch.matcher import (
 from treematch.oracle import enumerate_perfect_matchings
 from treematch.presets import BAD_RAY_TRUTH, BATTERY, BATTERY_ENDS, battery_ends
 
-from conftest import check_window_matching, induced_tree_graph
+from conftest import check_window_matching, induced_tree_graph, random_machine
 
 
 def parse_ends(texts):
@@ -396,6 +395,54 @@ class TestMemoizedPartners:
             siblings.restricted_pairs(t.window(1), skip={0})
 
 
+def chain_partner(oracle, top, k):
+    """The partner of top + (0,) * k by the anchor rule, read from top's
+    partner: down the chain of child 0s the pairs alternate."""
+    down_at_even = oracle.partner(top) == top + (0,)
+    v = top + (0,) * k
+    return v + (0,) if (k % 2 == 0) == down_at_even else v[:-1]
+
+
+class TestAnchorRule:
+    """partner asks a construction's own partner function only at its
+    anchors; every other vertex follows the anchor rule."""
+
+    @pytest.mark.parametrize("name", sorted(BATTERY))
+    def test_partner_fn_is_asked_only_at_anchors(self, battery, name):
+        t = battery[name]
+        win = t.window(8)
+        for label, build in fresh_constructions(t, name):
+            oracle, in_b = build()
+            asked = []
+
+            def recording(v, partner_fn=oracle._partner_fn, asked=asked):
+                asked.append(v)
+                return partner_fn(v)
+
+            oracle._partner_fn = recording
+            b_vertices = [v for v in win.paths if in_b(v)]
+            assert pointwise_sweep(oracle, win, b_vertices)[0] == "pairs", (name, label)
+            if oracle._anchors is None:  # the bare line's empty matching
+                assert not asked and len(b_vertices) == len(win.paths), (name, label)
+                continue
+            assert len(asked) == len(set(asked)), (name, label)
+            assert set(asked) <= set(oracle._anchors(win.depth + 1)), (name, label)
+
+    def test_deep_queries_off_the_line(self):
+        # Far beyond the recursion limit: below a line vertex of a one-end
+        # and a two-end matching, and below the root, which lies above the
+        # two-end line's divergence vertex (0,).
+        t = BATTERY["binary"]()
+        cases = [(["|0"], (0, 1), 2998), (["0|0", "0|1"], (0, 0, 1), 2997),
+                 (["0|0", "0|1"], (1, 1), 2998)]
+        for texts, top, k in cases:
+            oracle = match_ends(t, parse_ends(texts), check_depth=0).oracle
+            v = top + (0,) * k
+            p = oracle.partner(v)
+            assert p == chain_partner(oracle, top, k), (oracle.description, top)
+            assert oracle.partner(p) == v
+
+
 def closed_truncation_agrees_with_oracle(t, oracle, excluded=None):
     """Cut the construction at a window boundary and let the brute-force
     enumerator confirm it: the restriction (plus the boundary partners) must
@@ -506,30 +553,11 @@ def end_constructions(t, ends, budget=100_000):
     return res.oracle, res.b_set.contains
 
 
-def random_machine(rng):
-    """A machine with at most 3 states and branch at most 3 whose root has
-    at least two children, and 1-3 random valid ends of it."""
-    while True:
-        states = [f"S{i}" for i in range(rng.randint(1, 3))]
-        branch = {q: rng.randint(0, 3) for q in states}
-        branch["S0"] = rng.randint(2, 3)
-        step = {(q, i): rng.choice(states) for q in states for i in range(branch[q])}
-        t = AutomaticTree.build("S0", branch, step)
-        ends = []
-        for _ in range(rng.randint(1, 3)):
-            for _ in range(50):
-                e = EndDescriptor(tuple(rng.randrange(3) for _ in range(rng.randint(0, 2))),
-                                  tuple(rng.randrange(3) for _ in range(rng.randint(1, 2))))
-                if validate_end(t, e):
-                    ends.append(e)
-                    break
-        if ends:
-            return t, ends
-
-
 class TestWindowPass:
-    """The anchor rule against pointwise partners: the window pass must see
-    the pairs (or raise the error) that a pointwise sweep does."""
+    """Two implementations of the anchor rule: the window pass applies it
+    top-down, and partner climbs from each query to the nearest known vertex
+    or anchor. The pass must see the pairs (or raise the error) that a
+    pointwise sweep does."""
 
     def compare(self, t, build, depth):
         oracle, in_b = build()

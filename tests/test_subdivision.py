@@ -32,14 +32,14 @@ class TestSubdivide:
         sub = subdivide(cycle_graph(3))
         g = sub.graph
         assert g.vertex_count == 6
-        assert all(g.degree(v) == 2 for v in g.vertices())
+        assert all(g.degree(v) == 2 for v in range(g.vertex_count))
         assert len(g.components()) == 1
         assert not g.is_acyclic()
 
     def test_square_becomes_eight_cycle(self):
         g = subdivide(cycle_graph(4)).graph
         assert g.vertex_count == 8
-        assert all(g.degree(v) == 2 for v in g.vertices())
+        assert all(g.degree(v) == 2 for v in range(g.vertex_count))
         assert len(g.components()) == 1
 
     def test_edge_vertices_touch_their_endpoints(self):
