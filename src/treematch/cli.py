@@ -293,26 +293,30 @@ def _cmd_counterexample(args, stats, digest_parts):
             "use the library for deeper levels"
         )
     digest_parts.append(f"levels={args.levels}".encode())
-    lines = []
+    # Each chunk is several output lines joined: a level's header, its R
+    # block, and one S block per first string.
+    chunks = []
     last = None
     for ls in levels(args.levels):
-        lines.append(f"level {ls.n}")
+        header = [f"level {ls.n}"]
         if ls.n % 2 == 1:
             u_sched, v_pick = ls.u_history[-1]
-            lines.append(f"u {_word(u_sched)}")
-            lines.append(f"v {_word(v_pick)}")
+            header += [f"u {_word(u_sched)}", f"v {_word(v_pick)}"]
         elif ls.n > 0:
             v_sched, u_pick = ls.v_history[-1]
-            lines.append(f"u {_word(u_pick)}")
-            lines.append(f"v {_word(v_sched)}")
-        for a, b in ls.pairs:
-            lines.append(f"R {_word(a)} {_word(b)}")
-        for a, b in ls.s_pairs():
-            lines.append(f"S {_word(a)} {_word(b)}")
+            header += [f"u {_word(u_pick)}", f"v {_word(v_sched)}"]
+        chunks.append("\n".join(header))
+        if ls.pairs:
+            chunks.append("\n".join(f"R {a} {b}" for a, b in ls.pairs))
+        for a, seconds in ls.s_rows():
+            if not ls.n:  # the empty string prints as "-"
+                a, seconds = _word(a), [_word(b) for b in seconds]
+            prefix = f"S {a} "
+            chunks.append(prefix + ("\n" + prefix).join(seconds))
         last = ls
     stats["vertices"] = len(last.pairs) if last else 0
     stats["iterations"] = args.levels
-    return lines, "ok", 0
+    return chunks, "ok", 0
 
 
 _HANDLERS = {

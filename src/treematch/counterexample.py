@@ -2,10 +2,12 @@
 length-n binary strings.
 
 R grows by extending every pair with equal child bits, plus one scheduled
-new pair per odd step. S starts as everything and shrinks only through
-prune records: a record (m, u*, v*) means any pair whose first string starts
-with u* must have a second string starting with v*. Storing the records
-instead of S itself keeps levels cheap while membership stays exact.
+new pair per odd step, so R_n is the equal-bit expansion of at most n seed
+pairs. S starts as everything and shrinks only through prune records: a
+record (m, u*, v*) means any pair whose first string starts with u* must
+have a second string starting with v*. A level stores the seeds and the
+records, never R or S themselves, so a step costs time polynomial in n;
+R_n is listed on demand by a lazy view (SeedPairs).
 
 The checkers never walk the 2^n strings of a level. The strings extending a
 prefix w form one range of values (a cylinder), so the at most n seed strings
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 
 from .errors import InvariantViolationError
 
@@ -47,18 +49,98 @@ def _pieces(n: int, words) -> list:
     ]
 
 
+def _blocks(lo: int, hi: int, n: int):
+    """(prefix, free length) of the maximal aligned cylinders that tile the
+    length-n string values [lo, hi), in increasing order."""
+    while lo < hi:
+        size = lo & -lo or 1 << n
+        while lo + size > hi:
+            size >>= 1
+        free = size.bit_length() - 1
+        yield _word(lo >> free, n - free), free
+        lo += size
+
+
+def _suffix_lists(k: int) -> list:
+    """All length-j strings in increasing order, for j = 0..k, by doubling."""
+    out = [[""]]
+    for _ in range(k):
+        out.append([w + b for w in out[-1] for b in "01"])
+    return out
+
+
+_SUFFIXES = _suffix_lists(10)
+
+
+def _cylinder_pairs(p: str, seconds: list, free: int):
+    """Iterators that together give (p·w, c·w) for every w of length free in
+    increasing order and, for each w, every c of seconds in the order given.
+    The last bits of w come from a shared suffix list, so each item is made
+    by C-level string joins."""
+    low = min(free, len(_SUFFIXES) - 1)
+    tails = _SUFFIXES[low]
+    for j in range(1 << (free - low)):
+        h = _word(j, free - low)
+        firsts = list(map((p + h).__add__, tails))
+        streams = [zip(firsts, map((c + h).__add__, tails)) for c in seconds]
+        yield streams[0] if len(streams) == 1 else chain.from_iterable(zip(*streams))
+
+
+@dataclass(frozen=True)
+class SeedPairs:
+    """The equal-bit expansion of seed pairs at level n: every (a·w, b·w)
+    with (a, b) a seed and w of length n - |a|, as a sized, iterable view in
+    sorted order. Nothing is stored but the seeds, each a pair of strings
+    of one length at most n.
+
+    Any two seed first strings are nested or disjoint cylinders, so on each
+    piece of first-string values where the same seeds apply, every first
+    string has the same prefix a of the deepest of them, and its pairs are
+    (a·t, c·t) with c = b_k·a[|a_k|:] per applying seed: the same order of
+    second strings for every t. Iteration walks the pieces and interleaves
+    one stream per seed."""
+
+    n: int
+    seeds: tuple
+
+    def __post_init__(self):
+        for a, b in self.seeds:
+            if not len(a) == len(b) <= self.n:
+                raise ValueError(f"seed ({a!r}, {b!r}) does not fit level {self.n}")
+
+    def __len__(self) -> int:
+        return sum(1 << (self.n - len(a)) for a, _ in self.seeds)
+
+    def __iter__(self):
+        return chain.from_iterable(self._streams())
+
+    def _streams(self):
+        n = self.n
+        spans = [_span(a, n) for a, _ in self.seeds]
+        for lo, hi, count in _pieces(n, [a for a, _ in self.seeds]):
+            if not count:
+                continue
+            applying = [s for s, (x, y) in zip(self.seeds, spans) if x <= lo < y]
+            deep = max((a for a, _ in applying), key=len)
+            seconds = sorted(b + deep[len(a):] for a, b in applying)
+            for p, free in _blocks(lo, hi, n):
+                rest = p[len(deep):]
+                yield from _cylinder_pairs(p, [c + rest for c in seconds], free)
+
+
 @dataclass(frozen=True)
 class LevelSystem:
     """Level n of the recursion.
 
     Invariant: R_n is exactly the equal-bit expansion of the seeds, that is
-    pairs holds (u_k·0·w, v_k·1·w) for every (u_k, v_k) in u_history and
-    every w of length n - 2k - 1. The checkers read the seeds and the prune
-    records only; pairs is kept materialised for callers that list R_n.
+    (u_k·0·w, v_k·1·w) for every (u_k, v_k) in u_history and every w of
+    length n - 2k - 1. The checkers read the seeds and the prune records
+    only. For a level made by levels, pairs is the SeedPairs view of the
+    seeds; a hand-built system may give an explicit sorted tuple instead.
     """
 
     n: int
-    pairs: tuple  # sorted (u, v) string pairs
+    pairs: SeedPairs | tuple  # R_n in sorted order, as (u, v) string pairs
     prunes: tuple  # (m, u_star, v_star) constraints defining S
     u_history: tuple  # (scheduled u_2k, chosen v_2k) per completed odd step
     v_history: tuple  # (scheduled v_2k+1, chosen u_2k+1) per completed even step
@@ -101,17 +183,23 @@ class LevelSystem:
                 total += (hi - lo) << (self.n - len(forced))
         return total
 
-    def s_pairs(self):
-        """All of S in sorted order; exponential in the level, meant for
-        small-level dumps."""
+    def s_rows(self):
+        """(first string u, its second strings in S) per u with any, in
+        sorted order. Rows of one piece share one tuple of second strings.
+        Exponential in the level, meant for small-level dumps."""
         n = self.n
         for lo, hi, forced in self._forced_pieces():
             if forced is None:
                 continue
             free = n - len(forced)
-            seconds = [forced + _word(j, free) for j in range(1 << free)]
+            seconds = tuple(forced + _word(j, free) for j in range(1 << free))
             for x in range(lo, hi):
-                yield from zip(repeat(_word(x, n)), seconds)
+                yield _word(x, n), seconds
+
+    def s_pairs(self):
+        """All of S in sorted order, as (u, v) pairs."""
+        for u, seconds in self.s_rows():
+            yield from zip(repeat(u), seconds)
 
     def _blocked(self, v: str) -> list:
         """Prefixes of the first strings that are in the pair projection or
@@ -121,8 +209,14 @@ class LevelSystem:
         ]
 
 
+def _level(n: int, prunes: tuple, u_history: tuple, v_history: tuple) -> LevelSystem:
+    """A level of the recursion, with pairs the view of its seeds."""
+    seeds = tuple((u + "0", v + "1") for u, v in u_history)
+    return LevelSystem(n, SeedPairs(n, seeds), prunes, u_history, v_history)
+
+
 def init_level() -> LevelSystem:
-    return LevelSystem(0, (), (), (), ())
+    return _level(0, (), (), ())
 
 
 def dense_schedule(m: int) -> tuple:
@@ -132,10 +226,6 @@ def dense_schedule(m: int) -> tuple:
     offset = m + 1 - (1 << length)
     w = format(offset, f"0{length}b") if length else ""
     return (w + "0" * (2 * m - length), w + "0" * (2 * m + 1 - length))
-
-
-def _children(pairs) -> list:
-    return [(u + b, v + b) for (u, v) in pairs for b in "01"]
 
 
 def _odd_step(ls: LevelSystem) -> LevelSystem:
@@ -149,14 +239,8 @@ def _odd_step(ls: LevelSystem) -> LevelSystem:
             f"no second string is compatible with {u_sched!r}"
         )
     v_pick = forced + "0" * (ls.n - len(forced))
-    new_pairs = _children(ls.pairs)
-    new_pairs.append((u_sched + "0", v_pick + "1"))
-    return LevelSystem(
-        ls.n + 1,
-        tuple(sorted(new_pairs)),
-        ls.prunes,
-        ls.u_history + ((u_sched, v_pick),),
-        ls.v_history,
+    return _level(
+        ls.n + 1, ls.prunes, ls.u_history + ((u_sched, v_pick),), ls.v_history
     )
 
 
@@ -178,12 +262,8 @@ def _even_step(ls: LevelSystem) -> LevelSystem:
     v_sched = dense_schedule(k)[1]
     u_pick = _pick_u(ls, v_sched)
     prune = (ls.n + 1, u_pick + "0", v_sched + "1")
-    return LevelSystem(
-        ls.n + 1,
-        tuple(sorted(_children(ls.pairs))),
-        ls.prunes + (prune,),
-        ls.u_history,
-        ls.v_history + ((v_sched, u_pick),),
+    return _level(
+        ls.n + 1, ls.prunes + (prune,), ls.u_history, ls.v_history + ((v_sched, u_pick),)
     )
 
 
@@ -225,27 +305,55 @@ def check_acyclic(ls: LevelSystem) -> tuple:
 
     Union-find by size over the values of the length-n strings: first
     string u is node int(u), second string v is node 2^n + int(v), where
-    the empty string of level 0 has value 0. Raises ValueError for a
-    string of another length."""
+    the empty string of level 0 has value 0. A SeedPairs view is checked on
+    the values alone, seed by seed; only when that finds a cycle are the
+    pairs listed, so the witness is the one the sorted pairs give. Raises
+    ValueError for an explicit string of another length."""
     n = ls.n
+    if isinstance(ls.pairs, SeedPairs) and _cycle_at(n, _seed_edges(ls.pairs)) is None:
+        return (True, None)
+    i = _cycle_at(n, _string_edges(n, ls.pairs))
+    if i is None:
+        return (True, None)
+    u, v = next(islice(ls.pairs, i, None))
+    return (False, _forest_path(islice(ls.pairs, i), ("u", u), ("v", v)))
+
+
+def _seed_edges(pairs: SeedPairs):
+    """The node numbers of the pairs, seed by seed: seed (a, b) joins a·w
+    to b·w for each w."""
+    n = pairs.n
     top = 1 << n
-    parent = [-1] * (2 * top)  # a root holds minus the size of its tree
-    for i, (u, v) in enumerate(ls.pairs):
+    for a, b in pairs.seeds:
+        free = n - len(a)
+        x = int(a or "0", 2) << free
+        y = top + (int(b or "0", 2) << free)
+        yield from zip(range(x, x + (1 << free)), range(y, y + (1 << free)))
+
+
+def _string_edges(n: int, pairs):
+    top = 1 << n
+    for u, v in pairs:
         if len(u) != n or len(v) != n:
             raise ValueError(f"pair ({u!r}, {v!r}) is not of length {n}")
-        a = int(u or "0", 2)
+        yield int(u or "0", 2), top + int(v or "0", 2)
+
+
+def _cycle_at(n: int, edges):
+    """The index of the first edge that closes a cycle, or None."""
+    parent = [-1] * (2 << n)  # a root holds minus the size of its tree
+    for i, (a, b) in enumerate(edges):
         while parent[a] >= 0:
             a = parent[a]
-        b = top + int(v or "0", 2)
         while parent[b] >= 0:
             b = parent[b]
         if a == b:
-            return (False, _forest_path(ls.pairs[:i], ("u", u), ("v", v)))
+            return i
         if parent[a] > parent[b]:
             a, b = b, a
         parent[a] += parent[b]
         parent[b] = a
-    return (True, None)
+    return None
 
 
 def _forest_path(pairs, a, b) -> tuple:

@@ -902,7 +902,10 @@ def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> tuple:
     the verified WindowPairs); raises InvariantViolationError on failure."""
     win = t.window(depth)
     in_b = out.b_set.contains
-    b_index = tuple(itertools.compress(range(len(win.paths)), map(in_b, win.paths)))
+    if out.b_set.kind == "empty":
+        b_index = ()
+    else:
+        b_index = tuple(itertools.compress(range(len(win.paths)), map(in_b, win.paths)))
     b_vertices = tuple(win.paths[j] for j in b_index)
     flagged = set(b_vertices)
     for v in b_vertices:

@@ -12,6 +12,7 @@ import pytest
 from treematch.counterexample import (
     LevelSystem,
     SectionReport,
+    SeedPairs,
     check_acyclic,
     check_condition1,
     check_condition2,
@@ -55,6 +56,29 @@ def reference_levels(max_n):
                 (u, v) for (u, v) in grown if u != u_p + "0" or v == v_s + "1"
             }
         yield n + 1, frozenset(r_set), frozenset(s_set)
+
+
+def doubled_pairs(produced):
+    """R_n of each produced level, built by child doubling as levels once
+    built it: every pair of the previous level is extended by both equal
+    bits, an odd step adds the pair it adjoined, and each level is sorted."""
+    pairs = ()
+    for ls in produced:
+        if ls.n:
+            children = [(u + b, v + b) for (u, v) in pairs for b in "01"]
+            if ls.n % 2:
+                u, v = ls.u_history[-1]
+                children.append((u + "0", v + "1"))
+            pairs = tuple(sorted(children))
+        yield pairs
+
+
+def pair_count(n):
+    """|R_n|: an odd step doubles and adds one pair, an even step doubles."""
+    count = 0
+    for k in range(n):
+        count = 2 * count + (k % 2 == 0)
+    return count
 
 
 # -- exhaustive reference checkers ------------------------------------------
@@ -193,6 +217,23 @@ def fabricate(n, u_history, prunes):
     return LevelSystem(n, tuple(sorted(pairs)), tuple(prunes), tuple(u_history), ())
 
 
+def expansion(n, seeds):
+    """The equal-bit expansion of the seeds at level n, listed and sorted."""
+    return tuple(sorted(
+        (a + w, b + w) for a, b in seeds for w in words_of(n - len(a))
+    ))
+
+
+def random_seeds(rng, n, count):
+    """count seeds of random lengths up to n and random bits; unlike the
+    recursion's seeds they may repeat, nest or close cycles."""
+    seeds = []
+    for _ in range(count):
+        m = rng.randrange(n + 1)
+        seeds.append(tuple("".join(rng.choice("01") for _ in range(m)) for _ in "ab"))
+    return tuple(seeds)
+
+
 def random_system(rng, n):
     u_history = [
         ("".join(rng.choice("01") for _ in range(2 * k)),
@@ -223,7 +264,7 @@ class TestFrozenLevels:
     def test_level_zero(self):
         ls = init_level()
         assert ls.n == 0
-        assert ls.pairs == ()
+        assert tuple(ls.pairs) == () and len(ls.pairs) == 0
         assert list(ls.s_pairs()) == [("", "")]
         assert ls.s_size() == 1
 
@@ -410,6 +451,10 @@ class TestAgainstReferenceCheckers:
         for _ in range(300):
             ls = random_system(rng, rng.randrange(8))
             assert_agrees_with_reference(ls, dump=True)
+            view = dataclasses.replace(ls, pairs=SeedPairs(ls.n, ls.seeds()))
+            assert tuple(view.pairs) == ls.pairs, ls
+            assert len(view.pairs) == len(ls.pairs), ls
+            assert_agrees_with_reference(view)
             seen["c1"] += not check_condition1(ls)[0]
             seen["c2"] += not check_condition2(ls)[0]
         assert seen["c1"] and seen["c2"]
@@ -481,12 +526,56 @@ class TestAgainstReferenceCheckers:
         for pairs in ((("10", "0"),), (("0", "1"), ("1", "01"))):
             with pytest.raises(ValueError):
                 check_acyclic(LevelSystem(1, pairs, (), (), ()))
+        for seeds in ((("0", "1"), ("1", "01")), (("001", "101"),)):
+            with pytest.raises(ValueError):
+                SeedPairs(2, seeds)
+
+
+class TestSeedPairs:
+    def test_view_lists_the_doubled_pairs_to_level_sixteen(self):
+        produced = list(levels(16))
+        for ls, pairs in zip(produced, doubled_pairs(produced)):
+            assert isinstance(ls.pairs, SeedPairs)
+            assert tuple(ls.pairs) == pairs, ls.n
+            assert len(ls.pairs) == pair_count(ls.n) == len(pairs), ls.n
+
+    def test_random_seeds_of_any_length(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randrange(7)
+            seeds = random_seeds(rng, n, rng.randrange(6))
+            view = SeedPairs(n, seeds)
+            assert tuple(view) == expansion(n, seeds), (n, seeds)
+            assert len(view) == len(expansion(n, seeds)), (n, seeds)
+
+    def test_integer_and_string_acyclicity_agree(self):
+        rng = random.Random(23)
+        verdicts = Counter()
+        for _ in range(300):
+            n = rng.randrange(1, 6)
+            seeds = random_seeds(rng, n, rng.randrange(1, 7))
+            seeded = LevelSystem(n, SeedPairs(n, seeds), (), (), ())
+            listed = LevelSystem(n, expansion(n, seeds), (), (), ())
+            result = check_acyclic(seeded)
+            assert result == check_acyclic(listed) == ref_check_acyclic(listed), seeds
+            verdicts[result[0]] += 1
+        assert verdicts[True] and verdicts[False]
+
+
+class UnreadPairs:
+    """Stands in for pairs that a checker must not read."""
+
+    def __iter__(self):
+        raise AssertionError("the pairs were listed")
+
+    def __len__(self):
+        raise AssertionError("the pairs were counted")
 
 
 class TestScaling:
     def test_level_twenty_checkers_read_no_pairs(self):
         *_, full = levels(20)
-        bare = dataclasses.replace(full, pairs=())
+        bare = dataclasses.replace(full, pairs=UnreadPairs())
         checks = (
             check_condition1,
             check_condition2,
@@ -498,4 +587,19 @@ class TestScaling:
         elapsed = time.perf_counter() - start
         assert results == [check(full) for check in checks]
         assert results[0] == (True, ()) and results[1] == (True, ())
+        assert elapsed < 1.0
+
+    def test_level_sixty_checkers_finish_quickly(self):
+        *_, ls = levels(60)
+        start = time.perf_counter()
+        results = (
+            check_condition1(ls),
+            check_condition2(ls),
+            ls.s_size(),
+            section_report(ls, 1),
+        )
+        elapsed = time.perf_counter() - start
+        assert results[0] == (True, ()) and results[1] == (True, ())
+        assert pair_count(60) <= results[2] <= 1 << 120
+        assert results[3].codimension == 60 - results[3].max_passing_len
         assert elapsed < 1.0

@@ -7,12 +7,14 @@ Usage, from the root of a checkout:
 
 For each workload in BENCHMARK.json it runs
 `perfbench/run.py --workload <w> --seed 41 --seconds <run_seconds> --trace 0`
-once in an exported copy of the parent (`git archive`, so the repository's
-git metadata is left alone) and once in this checkout, alternating which
-side runs first from workload to workload. `run_seconds` is BENCHMARK.json's.
-The last stdout line of each run goes into BENCH_<pr>.json with the host
-facts. The checkout side is the working tree as it stands, which is the
-change once committed. Standard library only, plus the git command line.
+in an exported copy of the parent (`git archive`, so the repository's git
+metadata is left alone) and in this checkout, as PAIRS back-to-back
+parent/change pairs. The side that runs first alternates from pair to pair
+and from workload to workload. `run_seconds` is BENCHMARK.json's. The last
+stdout line of every run goes into BENCH_<pr>.json, with each side's median
+and quartiles per metric and the host facts. The checkout side is the
+working tree as it stands, which is the change once committed. Standard
+library only, plus the git command line.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import io
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -30,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 41  # the seed of every BENCH_<pr>.json
+PAIRS = 3  # parent/change pairs per workload; odd, so a median is one run
 
 
 def git(*args: str) -> bytes:
@@ -55,6 +59,16 @@ def run_bench(checkout: Path, workload: str, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def summarize(runs: list) -> dict:
+    """Median and quartiles (inclusive method) of each metric over runs."""
+    out = {}
+    for name, first in runs[0]["metrics"].items():
+        values = [run["metrics"][name]["value"] for run in runs]
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        out[name] = {"median": median, "q1": q1, "q3": q3, "unit": first["unit"]}
+    return out
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="parent revision, e.g. HEAD~1 or a commit")
@@ -66,22 +80,29 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
-    results = {"parent": {}, "change": {}}
+    runs = {"parent": {w: [] for w in workloads}, "change": {w: [] for w in workloads}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_dir = Path(tmp)
         export(parent_commit, parent_dir)
         for k, workload in enumerate(workloads):
-            sides = [("parent", parent_dir), ("change", ROOT)]
-            if k % 2:
-                sides.reverse()
-            for side, checkout in sides:
-                print(f"{workload}: {side}", file=sys.stderr, flush=True)
-                results[side][workload] = run_bench(checkout, workload, seconds)
+            for i in range(PAIRS):
+                sides = [("parent", parent_dir), ("change", ROOT)]
+                if (k + i) % 2:
+                    sides.reverse()
+                for side, checkout in sides:
+                    print(f"{workload} pair {i + 1}/{PAIRS}: {side}", file=sys.stderr, flush=True)
+                    runs[side][workload].append(run_bench(checkout, workload, seconds))
+    results = {
+        side: {w: {"metrics": summarize(rs), "runs": rs} for w, rs in by_workload.items()}
+        for side, by_workload in runs.items()
+    }
 
     note = (
-        f"last stdout line of one run per workload and side, seed {SEED}, all on one host "
-        "in one sitting; the side that runs first alternates from workload to workload. The "
-        "change's src/ and tests/ are those of the commit that adds this file."
+        f"{PAIRS} back-to-back parent/change pairs per workload, seed {SEED}, all on one "
+        "host in one sitting; the side that runs first alternates from pair to pair and from "
+        "workload to workload. Per side and workload: median and quartiles of each metric, "
+        "and the last stdout line of every run. The change's src/ and tests/ are those of "
+        "the commit that adds this file."
     )
     out = {
         "command": f"python3 perfbench/run.py --workload <workload> --seed {SEED} "
