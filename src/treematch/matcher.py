@@ -1,31 +1,43 @@
 """Constructive perfect matchings on finitely presented infinite trees.
 
-All constructions answer pointwise partner queries, and totality/involution
-are only ever checked on finite windows. An oracle holds a domain predicate,
-a partner function and a finite prefix-closed set of anchors per depth: the
-root for the rooted matching and the one-end fallback, the prefixes of the
-component root for the many-end matching, and the prefixes of the line's
-divergence vertex m plus the line's vertices for the one- and two-end
-constructions. The line is spanned by two rays, and one class, _Line, holds
-its coordinates for both. For two ends the rays are the given ends; for one
-end they are the end and the leftmost descent from the lowest root child
-off it, so the line runs through the root and m is the root. The
-subclasses add only their partner rules at the anchors.
+Every construction is fixed by its tripod: the stem of prefixes of a vertex
+m, plus, for the one- and two-end constructions, the two rays from m that
+span a line. m is the root for the rooted matching and the one-end matching
+(and its fallback), the median of the ends for the many-end matching, and
+the rays' divergence vertex for two ends. One class, _Line, holds a line's
+coordinates and flags for both line constructions. For two ends the rays
+are the given ends; for one end they are the end and the leftmost descent
+from the lowest root child off it, so the line runs through the root and m
+is the root.
 
-The partner function is asked only at the anchors. Everywhere else the
-anchor rule is the definition: a vertex pairs with its parent if the parent
-pairs with it, and otherwise with its child 0; an anchor outside the domain
-(the exceptional line of a two-end matching) pairs with nobody.
+Each construction compiles once into a _Tripod: one code per prefix of m,
+m's own last, and for a matched line one eventually periodic word per ray,
+a preperiod and a cycle over the positions k >= 1 away from m. A code names
+a vertex's partner: the neighbour toward m (TOWARD), the one away from m
+(AWAY; at m the parent), or child i; at m, child i may be a ray's first
+vertex. On an exceptional line m's code is None, and the line's vertices
+are outside the domain and have no codes. The stem codes come from one
+walk up from m, and the ray words from one pass over the line's flags,
+from the deep end of the first ray through m to the deep end of the
+second; that pass also checks the budget. The words are the shortest that
+fit, so equivalent end descriptors compile to the same codes.
+
+The tripod's vertices are the anchors, prefix-closed by construction, and
+only there is the word read. Everywhere else the anchor rule is the
+definition: a vertex pairs with its parent if the parent pairs with it,
+and otherwise with its child 0; an anchor outside the domain (the
+exceptional line of a two-end matching) pairs with nobody.
 MatchingOracle.partner applies the rule upward from a query to the nearest
 known vertex or anchor, and a window pass (MatchingOracle.restricted_pairs)
-applies it top-down. The rule is each construction's component matching off
-the anchors, because _Component's rule reduces to it wherever three things
-hold, and off the anchors they do. The neighbour toward the component root
-is the tree parent, since a component root and the vertices between it and
-the tree root are anchors. No filter cuts an edge below a non-anchor: the
-filters cut only edges at or to line vertices, and a non-anchor has none
-below it. And a vertex whose parent is matched elsewhere starts a new chain
-of parity 0, so it takes its first kept neighbour, child 0.
+applies it top-down. The rule is each construction's component matching
+off the tripod. In a component, a vertex pairs with its neighbour toward
+the component root if that neighbour pairs with it, and otherwise with its
+first kept neighbour, children first. Off the tripod this reduces to the
+anchor rule. The neighbour toward the component root is the tree parent,
+since a component root and the vertices between it and the tree root lie
+on the tripod. No component cuts an edge below a vertex off the tripod: the
+cuts are at or next to line vertices. So a vertex off the tripod keeps its
+child 0.
 """
 
 from __future__ import annotations
@@ -33,8 +45,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Collection, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError
 from .graph_core import (
@@ -75,12 +86,12 @@ class MatchingOracle:
     """Pointwise access to a matching: a domain predicate plus a partner
     function, with memoized queries.
 
-    anchors(depth), when given, names a finite prefix-closed set of vertices
-    down to depth, the only vertices partner_fn is asked about. It holds
-    every vertex outside the domain, and cut to a smaller depth d it is
-    anchors(d). The root always counts as an anchor. Every other vertex
-    follows the anchor rule (module docstring). Without anchors every vertex
-    is one."""
+    is_anchor(v), when given, tells whether partner_fn is asked about v: it
+    holds at the root, at the parent of every vertex where it holds and at
+    every vertex outside the domain. For a construction it is the tripod
+    test, a prefix of m or a vertex of the line through m, and partner_fn
+    reads the tripod word. Every other vertex follows the anchor rule
+    (module docstring). Without is_anchor every vertex is an anchor."""
 
     def __init__(
         self,
@@ -88,26 +99,17 @@ class MatchingOracle:
         in_domain: Callable,
         partner_fn: Callable,
         description: str = "",
-        anchors: Callable | None = None,
+        is_anchor: Callable | None = None,
     ):
         self.tree = tree
         self._in_domain = in_domain
         self._partner_fn = partner_fn
         self.description = description
-        self._anchors = anchors
-        self._anchor_set: set = set()
-        self._anchor_depth = -1  # the depth _anchor_set was built for
+        self._is_anchor = is_anchor
         self._memo: dict = {}  # vertex -> partner, None for an anchor outside the domain
 
     def in_domain(self, v: TreeVertex) -> bool:
         return self.tree.is_valid_vertex(v) and bool(self._in_domain(v))
-
-    def _anchors_to(self, depth: int) -> set:
-        """The anchors down to depth, built again only for a deeper depth."""
-        if depth > self._anchor_depth:
-            self._anchor_set = {ROOT, *self._anchors(depth)}
-            self._anchor_depth = depth
-        return self._anchor_set
 
     def partner(self, v: TreeVertex) -> TreeVertex:
         memo = self._memo
@@ -118,14 +120,14 @@ class MatchingOracle:
             raise ValueError(f"invalid vertex {render_path(v)}")
         if not self._in_domain(v):
             raise ValueError(f"vertex {render_path(v)} is outside the oracle domain")
-        if self._anchors is None:
+        is_anchor = self._is_anchor
+        if is_anchor is None:
             p = memo[v] = self._partner_fn(v)
             return p
         # Climb to the nearest known vertex or anchor, in a loop so that a
         # query far below works, then apply the anchor rule downward.
-        anchors = self._anchors_to(len(v))
         path = [v]
-        while path[-1] not in memo and path[-1] not in anchors:
+        while path[-1] not in memo and not is_anchor(path[-1]):
             path.append(path[-1][:-1])
         x = path.pop()
         if x not in memo:
@@ -140,9 +142,10 @@ class MatchingOracle:
         by window index), in one top-down pass.
 
         The anchors are asked pointwise, in window order (for an oracle
-        without anchors every window vertex is an anchor); a partner so
+        without is_anchor every window vertex is an anchor); a partner so
         asked is asked at once when it is an anchor too, as a pointwise
-        sweep would. Every other vertex follows the anchor rule, as partner
+        sweep would. The anchors are prefix-closed by construction, so a
+        vertex is tested only when its parent is an anchor. Every other vertex follows the anchor rule, as partner
         does: it pairs with its parent if the parent pairs with it, and
         otherwise with its child 0. A vertex of skip is not asked. Outside
         the domain it pairs with nobody, so its children off the anchors
@@ -161,10 +164,7 @@ class MatchingOracle:
         n = len(paths)
         out = WindowPairs(win)
         pairs, uppers, left_out, beyond = out, out.uppers, out.left_out, out.beyond
-        anchors = set(paths) if self._anchors is None else self._anchors_to(win.depth)
-        for a in anchors:
-            if a and a[:-1] not in anchors:
-                raise ValueError(f"anchor {render_path(a)} lacks its parent")
+        is_anchor = self._is_anchor or (lambda v: True)
         skipped = set(skip)
         inside = {c for c in skipped if self._in_domain(paths[c])}
         anchored = {0}
@@ -187,7 +187,7 @@ class MatchingOracle:
                     raise ValueError(f"invalid vertex {render_path(p)}")
                 if c < boundary:
                     below = first[c] + p[-1]
-                    if below not in skipped and p in anchors:
+                    if below not in skipped and is_anchor(p):
                         self.partner(p)
                 return p[-1]
             if d and len(p) == d - 1 and p == v[:-1]:
@@ -226,7 +226,7 @@ class MatchingOracle:
                 continue
             for c in range(start, end):
                 i = c - start
-                if j in anchored and paths[c] in anchors:
+                if j in anchored and is_anchor(paths[c]):
                     anchored.add(c)
                     slow.add(c)
                 if c in skipped:
@@ -269,99 +269,7 @@ class MatchingOracle:
         return out
 
 
-class _Component:
-    """Deterministic perfect matching of a subtree component, re-rooted at an
-    arbitrary vertex.
-
-    Neighbors of a vertex are ranked children-first (ascending index), then
-    the tree parent; child_filter(v, ch) may exclude neighbors to cut the
-    component out of the ambient tree. A vertex pairs with its first kept
-    neighbor or with its neighbor toward the component root, depending on
-    the parity of the chain of first-kept links above it.
-
-    Each vertex's state, chain parity and first kept neighbor are memoized
-    and worked out from its toward-root neighbor's, so once a vertex is
-    known every neighbor below it costs O(1).
-    """
-
-    def __init__(self, tree: AutomaticTree, root: TreeVertex, child_filter: Callable | None = None):
-        self.tree = tree
-        self.root = root
-        self.child_filter = child_filter
-        q = tree.root_state
-        self._root_path_states = [q]
-        for i in root:
-            q = tree.step(q, i)
-            self._root_path_states.append(q)
-        # vertex -> (state, chain parity, first kept neighbor: a child index,
-        # -1 for the parent, None for none)
-        self._memo: dict = {}
-
-    def toward_root(self, v: TreeVertex) -> TreeVertex | None:
-        if v == self.root:
-            return None
-        if len(v) < len(self.root) and self.root[: len(v)] == v:
-            return v + (self.root[len(v)],)
-        return v[:-1]
-
-    def _first_kept(self, v: TreeVertex, q: str, skip_child: int | None, parent_ok: bool):
-        keep = self.child_filter
-        for i in range(self.tree.branch_of(q)):
-            if i != skip_child and (keep is None or keep(v, v + (i,))):
-                return i
-        if parent_ok and v and (keep is None or keep(v, v[:-1])):
-            return -1
-        return None
-
-    def _climb(self, v: TreeVertex) -> tuple:
-        """Memoize v and every vertex between it and the nearest memoized
-        vertex toward the root, nearest first. A loop, not recursion, so a
-        query far from the root works."""
-        memo = self._memo
-        root = self.root
-        depth = len(root)
-        path = []
-        x = v
-        while x not in memo:
-            path.append(x)
-            if x == root:
-                break
-            n = len(x)
-            x = x + (root[n],) if n < depth and root[:n] == x else x[:-1]
-        for y in reversed(path):
-            n = len(y)
-            if n <= depth and root[:n] == y:
-                q = self._root_path_states[n]
-                if n == depth:
-                    memo[y] = (q, 0, self._first_kept(y, q, None, True))
-                    continue
-                _, up_parity, up_first = memo[y + (root[n],)]
-                is_first = up_first == -1
-                first = self._first_kept(y, q, root[n], True)
-            else:
-                up_state, up_parity, up_first = memo[y[:-1]]
-                q = self.tree.step(up_state, y[-1])
-                is_first = up_first == y[-1]
-                first = self._first_kept(y, q, None, False)
-            memo[y] = (q, 1 - up_parity if is_first else 0, first)
-        return memo[v]
-
-    def partner(self, v: TreeVertex) -> TreeVertex:
-        _, parity, first = self._memo.get(v) or self._climb(v)
-        if parity:
-            return self.toward_root(v)
-        if first is None:
-            raise InvariantViolationError(
-                f"component vertex {render_path(v)} has no child to pair with"
-            )
-        return v[:-1] if first == -1 else v + (first,)
-
-
-def _prefixes_of(root: TreeVertex) -> Callable:
-    """Anchors of a component matching rooted at root: root's prefixes, at
-    any window depth."""
-    prefixes = [root[:n] for n in range(len(root) + 1)]
-    return lambda depth: prefixes
+TOWARD, AWAY = -1, -2  # tripod codes besides child i >= 0 (module docstring)
 
 
 def _require_min_degree_two(t: AutomaticTree) -> None:
@@ -372,13 +280,96 @@ def _require_min_degree_two(t: AutomaticTree) -> None:
             raise ValueError(f"state {q!r} gives degree-one vertices")
 
 
+@dataclass(frozen=True)
+class _Word:
+    """An eventually periodic code word over the positions k >= 1 of a ray:
+    pre, then cycle repeated."""
+
+    pre: tuple
+    cycle: tuple
+
+    def __getitem__(self, k: int):
+        if k <= len(self.pre):
+            return self.pre[k - 1]
+        return self.cycle[(k - len(self.pre) - 1) % len(self.cycle)]
+
+    @classmethod
+    def shortest(cls, codes: list, start: int, period: int) -> "_Word":
+        """The shortest word that reads codes[k] for 1 <= k < len(codes),
+        given that the codes repeat with period from start on and that
+        codes[start:] holds at least two periods. The smallest repeat is a
+        divisor of period; the preperiod is then cut as far as it goes."""
+        end = len(codes)
+        for d in range(1, period + 1):
+            if period % d == 0 and all(codes[k] == codes[k + d] for k in range(start, end - d)):
+                break
+        else:
+            raise InvariantViolationError("ray codes do not repeat with the flags")
+        while start > 1 and codes[start - 1] == codes[start - 1 + d]:
+            start -= 1
+        return cls(tuple(codes[1:start]), tuple(codes[start : start + d]))
+
+
+@dataclass(frozen=True)
+class _Tripod:
+    """A construction compiled to its tripod (module docstring): m, the
+    codes of m's prefixes with m's own last, and for a matched line one word
+    per ray, the first ray's at index 0. The vertices of an exceptional line
+    are anchors outside the domain and have no codes."""
+
+    m: TreeVertex
+    stem: tuple
+    line: "_Line | None" = None
+    words: tuple = ()
+
+    def is_anchor(self, v: TreeVertex) -> bool:
+        n = len(v)
+        if n <= len(self.m):
+            return v == self.m[:n]
+        return self.line is not None and self.line.position_of(v) is not None
+
+    def partner(self, v: TreeVertex) -> TreeVertex:
+        """The partner of an anchor in the domain, read from its code."""
+        n = len(v)
+        if n <= len(self.m):
+            code = self.stem[n]
+            if code == TOWARD:
+                return self.m[: n + 1]
+        else:
+            pos = self.line.position_of(v)
+            code = self.words[pos > 0][abs(pos)]
+            if code == TOWARD:
+                return v[:-1]
+            if code == AWAY:
+                return v + ((self.line.e2 if pos > 0 else self.line.e1).index(n),)
+        return v[:-1] if code == AWAY else v + (code,)
+
+
+def _stem(t: AutomaticTree, m: TreeVertex, m_code) -> tuple:
+    """The codes of m's prefixes, m's own (given; child 0 for a component
+    matching rooted at m) last, by the component rule in one walk up from m: a prefix pairs toward m if its child toward
+    m pairs with it, and otherwise with its first other child. The root has
+    one, since every caller's tree has root degree at least two or m at the
+    root; any other prefix without one pairs with its parent."""
+    states = [t.root_state]
+    for i in m[:-1]:
+        states.append(t.step(states[-1], i))
+    codes = [m_code]
+    for n in range(len(m) - 1, -1, -1):
+        if codes[-1] == AWAY:
+            codes.append(TOWARD)
+        else:
+            codes.append(next((i for i in range(t.branch_of(states[n])) if i != m[n]), AWAY))
+    return tuple(reversed(codes))
+
+
 def rooted_matching(t: AutomaticTree) -> MatchingOracle:
     """Total matching of a tree whose every vertex has at least one child."""
     for q in t.states:
         if t.branch_of(q) < 1:
             raise ValueError(f"state {q!r} has no children")
-    comp = _Component(t, ROOT)
-    return MatchingOracle(t, lambda v: True, comp.partner, "rooted", _prefixes_of(ROOT))
+    tripod = _Tripod(ROOT, _stem(t, ROOT, 0))
+    return MatchingOracle(t, lambda v: True, tripod.partner, "rooted", tripod.is_anchor)
 
 
 @dataclass(frozen=True)
@@ -431,76 +422,74 @@ class EndsOutput:
 
 
 class _TailFlags:
-    """Eventually periodic boolean sequence flag(j), j >= 1, discovered by
-    walking a keyed deterministic sequence until a key repeats."""
+    """The states along an end below a start depth, one per tail position
+    j >= 1, walked until a (state, descriptor phase) key repeats; from there
+    on they repeat with period. A position is flagged when its vertex has a
+    child off the end (branch >= 2)."""
 
-    def __init__(self, keyed_flags: Iterable):
-        flags = [False]  # index 0 unused
-        seen = {}
-        for j, (key, fl) in enumerate(keyed_flags, start=1):
+    def __init__(self, t: AutomaticTree, e: EndDescriptor, start_depth: int):
+        q = t.state_of(e.prefix(start_depth))
+        pre_len, per_len = len(e.preperiod), len(e.period)
+        states = [None]  # index 0 unused
+        seen: dict = {}
+        d = start_depth
+        while True:
+            q = t.step(q, e.index(d))
+            d += 1
+            key = (q, d if d < pre_len else pre_len + (d - pre_len) % per_len)
             if key in seen:
-                self.pre = seen[key] - 1
-                self.period = j - seen[key]
                 break
-            seen[key] = j
-            flags.append(fl)
-        else:
-            raise InvariantViolationError("tail walk did not cycle")
-        self.flags = flags  # positions 1 .. pre+period
-        cyc = flags[self.pre + 1 : self.pre + self.period + 1]
-        self.cycle_any = any(cyc)
-        self.cycle_all = all(cyc)
-        if self.cycle_any:
-            self.last = None  # flagged positions are unbounded
-        else:
-            self.last = max((i for i in range(1, len(flags)) if flags[i]), default=None)
+            seen[key] = len(states)
+            states.append(q)
+        self.pre = seen[key] - 1
+        self.period = len(states) - seen[key]
+        self.states = states  # positions 1 .. pre+period
+        self.flags = [False] + [t.branch_of(q) >= 2 for q in states[1:]]
+        self.cycle_any = any(self.flags[self.pre + 1 :])
+
+    def _index(self, j: int) -> int:
+        if j <= self.pre + self.period:
+            return j
+        return self.pre + 1 + (j - self.pre - 1) % self.period
+
+    def state(self, j: int) -> str:
+        return self.states[self._index(j)]
 
     def flag(self, j: int) -> bool:
-        if j <= self.pre + self.period:
-            return self.flags[j]
-        return self.flags[self.pre + 1 + (j - self.pre - 1) % self.period]
-
-
-def _ray_flag_walk(t: AutomaticTree, e: EndDescriptor, start_depth: int):
-    """(key, flag) per tail position j >= 1 along e below depth start_depth;
-    flag marks branch >= 2 (an extra neighbor besides line and parent)."""
-    q = t.state_of(e.prefix(start_depth))
-    pre_len = len(e.preperiod)
-    per_len = len(e.period)
-    d = start_depth
-    while True:
-        q = t.step(q, e.index(d))
-        d += 1
-        phase = d if d < pre_len else pre_len + (d - pre_len) % per_len
-        yield ((q, phase), t.branch_of(q) >= 2)
+        return self.flags[self._index(j)]
 
 
 class _Line:
     """Signed coordinates along the doubly infinite line spanned by two
     inequivalent ends: their divergence vertex m at 0, the first end's tail
     on the negative side, the second end's on the positive side. Positions
-    whose vertex has a neighbor off the line are flagged; _scan walks to the
-    next flagged one within the budget, or returns None when its side has
-    none left."""
+    whose vertex has a neighbor off the line are flagged, and an odd pair
+    is two flagged positions at odd distance."""
 
-    def __init__(self, t: AutomaticTree, e1: EndDescriptor, e2: EndDescriptor, budget: int):
+    def __init__(self, t: AutomaticTree, e1: EndDescriptor, e2: EndDescriptor):
         self.t = t
         self.e1 = e1
         self.e2 = e2
-        self.budget = budget
         m_len = divergence_length(e1, e2)
         if m_len is None:
             raise ValueError("ends are equivalent")
         self.m_len = m_len
         self.m = e1.prefix(m_len)
         self._e1_turn = e1.index(m_len)  # the first end's index below m
-        self.side1 = _TailFlags(_ray_flag_walk(t, e1, m_len))
-        self.side2 = _TailFlags(_ray_flag_walk(t, e2, m_len))
-        state_m = t.state_of(self.m)
+        self.side1 = _TailFlags(t, e1, m_len)
+        self.side2 = _TailFlags(t, e2, m_len)
+        self.state_m = t.state_of(self.m)
         if self.m == ROOT:
-            self.a0 = t.branch_of(state_m) >= 3
+            self.a0 = t.branch_of(self.state_m) >= 3
         else:
-            self.a0 = t.branch_of(state_m) >= 2
+            self.a0 = t.branch_of(self.state_m) >= 2
+        parities = {0} if self.a0 else set()
+        for side in (self.side1, self.side2):
+            for j in range(1, side.pre + 2 * side.period + 1):
+                if side.flag(j):
+                    parities.add(j % 2)
+        self.a_parities = frozenset(parities)
+        self.odd_pair = len(parities) >= 2
 
     def vertex_at(self, pos: int) -> TreeVertex:
         if pos >= 0:
@@ -523,107 +512,137 @@ class _Line:
             return self.side2.flag(pos)
         return self.side1.flag(-pos)
 
-    def _scan(self, pos: int, step: int) -> int | None:
-        side = self.side2 if step > 0 else self.side1
-        q = pos + step
-        for _ in range(self.budget):
-            j = q * step  # tail coordinate once past the divergence vertex
-            if j > 0 and not side.cycle_any and (side.last is None or j > side.last):
-                return None
-            if self.a_at(q):
-                return q
-            q += step
-        raise BudgetExceededError(
-            f"budget exceeded walking the line from {render_path(self.vertex_at(pos))}",
-            frontier=(self.vertex_at(pos),),
+    def report(self) -> LineReport:
+        sample = []
+        lo = self.side1.pre + 2 * self.side1.period + 2
+        hi = self.side2.pre + 2 * self.side2.period + 2
+        for pos in range(-lo, hi + 1):
+            if self.a_at(pos):
+                sample.append(pos)
+        return LineReport(
+            m=self.m,
+            m_len=self.m_len,
+            e1=self.e1,
+            e2=self.e2,
+            odd_pair=self.odd_pair,
+            a_parities=self.a_parities,
+            a_positions_sample=tuple(sample),
+            side_summaries=(
+                (self.side1.pre, self.side1.period, self.side1.cycle_any),
+                (self.side2.pre, self.side2.period, self.side2.cycle_any),
+            ),
         )
 
-    def next_a(self, pos: int) -> int | None:
-        return self._scan(pos, 1)
 
-    def prev_a(self, pos: int) -> int | None:
-        return self._scan(pos, -1)
+def _line_tripod(line: _Line, budget: int, spine: bool) -> _Tripod:
+    """Compile a matched line in one pass over its flags: the one-end spine
+    (spine true) or an odd-pair two-end line.
 
-    def anchors(self, depth: int) -> list:
-        """The prefixes of m and the line's vertices down to depth."""
-        out = [self.m[:n] for n in range(self.m_len + 1)]
-        for n in range(self.m_len + 1, depth + 1):
-            out += (self.e1.prefix(n), self.e2.prefix(n))
-        return out
+    Past each side's preperiod plus one period the codes repeat with twice
+    the side's flag period, so the pass covers positions down to the
+    preperiod plus five periods on each side, and two periods more that only
+    the codes nearer m read. A gap between consecutive flagged positions
+    longer than budget raises BudgetExceededError; the walk named is the one
+    from the lower end of the gap nearest m.
 
+    Spine: a flagged position with an even gap to the next pairs along the
+    line with the next position, and a position off the flags pairs with
+    the neighbour an even distance from the next flagged position. The
+    other flagged positions form runs of adjacent ones, each a component
+    with its hanging subtrees, walked down from its shallowest vertex.
+    Two-end: the selected positions are the flagged ones with an odd gap to
+    the next. Each pairs with its first hanging neighbour; every other
+    position pairs within the even segment behind the selected position
+    before it, or, with none before it, ahead of the first one."""
+    t, m_len = line.t, line.m_len
+    sides = (line.side1, line.side2)
+    reach = [s.pre + 5 * s.period + 2 for s in sides]
+    lo = -(reach[0] + 2 * sides[0].period + 2)
+    hi = reach[1] + 2 * sides[1].period + 2
+    flagged = [p for p in range(lo, hi + 1) if line.a_at(p)]
+    gaps = list(zip(flagged, flagged[1:]))
+    too_long = [g for g in gaps if g[1] - g[0] > budget]
+    if too_long:
+        x, _ = min(too_long, key=lambda g: min(abs(g[0]), abs(g[1])))
+        start = line.vertex_at(x)
+        raise BudgetExceededError(
+            f"budget exceeded walking the line from {render_path(start)}", frontier=(start,)
+        )
 
-class _OneEndSpine(_Line):
-    """The one-end construction's line through the root: the leftmost
-    descent (c)|0 from the lowest root child c off the chosen end, then the
-    end itself, so the root sits at position 0."""
+    def branch(p):
+        if p == 0:
+            return t.branch_of(line.state_m)
+        return t.branch_of(sides[p > 0].state(abs(p)))
 
-    def __init__(self, t: AutomaticTree, e: EndDescriptor, budget: int):
-        c_idx = 1 if e.index(0) == 0 else 0
-        super().__init__(t, EndDescriptor((c_idx,), (0,)), e, budget)
-        self.cofinal = self.side1.cycle_any and self.side2.cycle_any
-        self._runs: dict = {}  # run interval -> its component
+    def line_step(p, i):
+        """+1 or -1 when child i of position p is the line's next position
+        that way, else 0."""
+        d = m_len + abs(p)
+        if p >= 0 and i == line.e2.index(d):
+            return 1
+        if p <= 0 and i == line.e1.index(d):
+            return -1
+        return 0
 
-    def n_of(self, p: int) -> int:
-        return self.next_a(p) - p
+    def along(p, step):
+        """The code of position p's line neighbour at p + step."""
+        if p == 0:
+            return (line.e2 if step > 0 else line.e1).index(m_len)
+        return AWAY if (p > 0) == (step > 0) else TOWARD
 
-    def run_interval(self, p: int) -> tuple:
-        """Maximal interval of consecutive flagged positions around p,
-        trimmed on the right to its subset of odd-gap members. None marks an
-        unbounded side."""
-        a = p
-        while self.a_at(a - 1):
-            a -= 1
-            if a - 1 < 0 and self.side1.cycle_all and (a - 1) <= -(self.side1.pre + 1):
-                a = None
-                break
-        b_raw = p
-        while b_raw is not None and self.a_at(b_raw + 1):
-            b_raw += 1
-            if b_raw + 1 > 0 and self.side2.cycle_all and (b_raw + 1) >= self.side2.pre + 1:
-                b_raw = None
-        if b_raw is None:
-            b = None
-        else:
-            b = b_raw if self.n_of(b_raw) % 2 == 1 else b_raw - 1
-        return (a, b)
+    code: dict = {}
+    if spine:
+        after = dict(gaps)
+        for p in range(lo, flagged[-1]):
+            y = flagged[bisect.bisect_right(flagged, p)]
+            if not line.a_at(p) or (y - p) % 2 == 0:
+                code[p] = along(p, 1 if (y - p) % 2 == 0 else -1)
+        runs: list = []
+        for p in flagged:
+            if runs and runs[-1][1] == p - 1:
+                runs[-1][1] = p
+            else:
+                runs.append([p, p])
+        for a, b in runs:
+            if (after.get(b, b + 1) - b) % 2 == 0:
+                b -= 1  # b pairs along the line with b + 1
+            if a > b:
+                continue
 
-    def run_component(self, p: int) -> _Component:
-        interval = self.run_interval(p)
-        comp = self._runs.get(interval)
-        if comp is None:
-            comp = self._runs[interval] = self._build_run_component(*interval)
-        return comp
+            def first(p, a=a, b=b):
+                """The code of p's first child kept in the run's component."""
+                for i in range(branch(p)):
+                    step = line_step(p, i)
+                    if not step or a <= p + step <= b:
+                        return along(p, step) if step else i
 
-    def _build_run_component(self, a: int | None, b: int | None) -> _Component:
-        if (a is None or a <= 0) and (b is None or b >= 0):
-            w_pos = 0
-        elif b is not None and b < 0:
-            w_pos = b
-        else:
-            w_pos = a
-
-        def keep(v, ch, lo=a, hi=b):
-            q = self.position_of(ch)
-            if q is None:
-                return True
-            return (lo is None or q >= lo) and (hi is None or q <= hi)
-
-        return _Component(self.t, self.vertex_at(w_pos), keep)
-
-    def partner(self, v: TreeVertex) -> TreeVertex:
-        """The partner of an anchor. m is the root, so every anchor lies on
-        the line."""
-        pos = self.position_of(v)
-        if self.a_at(pos):
-            if self.n_of(pos) % 2 == 1:
-                return self.run_component(pos).partner(v)
-            return self.vertex_at(pos + 1)
-        x_pos = self.prev_a(pos)
-        d = pos - x_pos
-        start_is_odd = (self.next_a(pos) - x_pos) % 2 == 1
-        if start_is_odd:
-            return self.vertex_at(pos + 1 if d % 2 == 1 else pos - 1)
-        return self.vertex_at(pos + 1 if d % 2 == 0 else pos - 1)
+            w = 0 if a <= 0 <= b else b if b < 0 else a
+            code[w] = first(w)
+            for step, end in ((1, b), (-1, a)):
+                prev = w
+                for u in range(w + step, end + step, step):
+                    code[u] = TOWARD if code[prev] == along(prev, step) else first(u)
+                    prev = u
+    else:
+        selected = [x for x, y in gaps if (y - x) % 2]
+        chosen = set(selected)
+        for p in range(lo, hi + 1):
+            if p in chosen:
+                hanging = (i for i in range(branch(p)) if not line_step(p, i))
+                code[p] = next(hanging, AWAY)  # only m has a hanging parent
+                continue
+            i = bisect.bisect_left(selected, p)
+            if i:
+                step = 1 if (p - selected[i - 1]) % 2 else -1
+            else:
+                step = 1 if (selected[0] - p) % 2 == 0 else -1
+            code[p] = along(p, step)
+    words = tuple(
+        _Word.shortest([None] + [code[sign * k] for k in range(1, r + 1)],
+                       s.pre + s.period + 1, 2 * s.period)
+        for sign, r, s in zip((-1, 1), reach, sides)
+    )
+    return _Tripod(line.m, _stem(t, line.m, code[0]), line, words)
 
 
 def _is_bare_line(t: AutomaticTree) -> bool:
@@ -648,142 +667,18 @@ def one_end_matching(t: AutomaticTree, e: EndDescriptor, budget: int = 100_000) 
     if _is_bare_line(t):
         oracle = MatchingOracle(t, lambda v: False, lambda v: None, "one-end injective")
         return EndsOutput(BSet("injective_part"), oracle, 1)
-    spine = _OneEndSpine(t, e, budget)
-    if not spine.cofinal:
-        comp = _Component(t, ROOT)
+    # The spine is the leftmost descent (c)|0 from the lowest root child c
+    # off the end, then the end itself, so the root sits at position 0.
+    spine = _Line(t, EndDescriptor((1 if e.index(0) == 0 else 0,), (0,)), e)
+    if not (spine.side1.cycle_any and spine.side2.cycle_any):
+        tripod = _Tripod(ROOT, _stem(t, ROOT, 0))
         oracle = MatchingOracle(
-            t, lambda v: True, comp.partner, "one-end rooted fallback", _prefixes_of(ROOT)
+            t, lambda v: True, tripod.partner, "one-end rooted fallback", tripod.is_anchor
         )
         return EndsOutput(BSet("empty"), oracle, 1, note="branching not cofinal along the spine")
-    oracle = MatchingOracle(t, lambda v: True, spine.partner, "one-end", spine.anchors)
+    tripod = _line_tripod(spine, budget, spine=True)
+    oracle = MatchingOracle(t, lambda v: True, tripod.partner, "one-end", tripod.is_anchor)
     return EndsOutput(BSet("empty"), oracle, 1)
-
-
-class _TwoEndLine(_Line):
-    """The two-end construction's line, with the parities of its flagged
-    positions: an odd pair of them lets the line itself be matched."""
-
-    def __init__(self, t: AutomaticTree, e1: EndDescriptor, e2: EndDescriptor, budget: int):
-        super().__init__(t, e1, e2, budget)
-        parities = set()
-        if self.a0:
-            parities.add(0)
-        for side in (self.side1, self.side2):
-            for j in range(1, side.pre + 2 * side.period + 1):
-                if side.flag(j):
-                    parities.add(j % 2)
-        self.a_parities = frozenset(parities)
-        self.odd_pair = len(parities) >= 2
-
-    def sel(self, pos: int) -> bool:
-        """Selected branching vertices: the first-end-side endpoint of every
-        odd-length gap between consecutive branching vertices."""
-        if not self.a_at(pos):
-            return False
-        na = self.next_a(pos)
-        return na is not None and (na - pos) % 2 == 1
-
-    def prev_sel(self, pos: int) -> int | None:
-        deep = -(self.side1.pre + self.side1.period + 2)
-        marker = None
-        q = pos
-        while True:
-            q = self.prev_a(q)
-            if q is None:
-                return None
-            if self.sel(q):
-                return q
-            if q <= deep:
-                if marker is None:
-                    marker = q
-                elif marker - q >= self.side1.period:
-                    return None
-
-    def next_sel(self, pos: int) -> int | None:
-        deep = self.side2.pre + self.side2.period + 2
-        marker = None
-        q = pos
-        while True:
-            q = self.next_a(q)
-            if q is None:
-                return None
-            if self.sel(q):
-                return q
-            if q >= deep:
-                if marker is None:
-                    marker = q
-                elif q - marker >= self.side2.period:
-                    return None
-
-    def line_child_indices(self, pos: int) -> set:
-        depth = self.m_len + abs(pos)
-        if pos == 0:
-            return {self.e1.index(depth), self.e2.index(depth)}
-        if pos > 0:
-            return {self.e2.index(depth)}
-        return {self.e1.index(depth)}
-
-    def hanging_neighbors(self, pos: int) -> list:
-        v = self.vertex_at(pos)
-        line_idx = self.line_child_indices(pos)
-        out = [v + (i,) for i in range(self.t.branch_of(self.t.state_of(v))) if i not in line_idx]
-        if pos == 0 and self.m != ROOT:
-            out.append(self.m[:-1])
-        return out
-
-    def partner_on_line(self, pos: int) -> TreeVertex:
-        if self.sel(pos):
-            hang = self.hanging_neighbors(pos)
-            if not hang:
-                raise InvariantViolationError(
-                    f"selected line vertex {render_path(self.vertex_at(pos))} has no hanging neighbor"
-                )
-            return hang[0]
-        s = self.prev_sel(pos)
-        if s is not None:
-            r = pos - s
-            return self.vertex_at(pos + 1 if r % 2 == 1 else pos - 1)
-        s2 = self.next_sel(pos)
-        if s2 is None:
-            raise InvariantViolationError("no selected vertex on an odd-pair line")
-        r = s2 - pos
-        return self.vertex_at(pos - 1 if r % 2 == 1 else pos + 1)
-
-    @cached_property
-    def _above(self) -> _Component:
-        """The part above m, as one component rooted at m in which m keeps
-        only its partner (none without an odd pair, where m is exceptional)."""
-        partner_of_m = self.partner_on_line(0) if self.odd_pair else None
-        return _Component(self.t, self.m, lambda v, ch: v != self.m or ch == partner_of_m)
-
-    def partner(self, v: TreeVertex) -> TreeVertex:
-        """The partner of an anchor: a line vertex, or a prefix of m above
-        the line. Without an odd pair only the latter are asked."""
-        pos = self.position_of(v)
-        if pos is None:
-            return self._above.partner(v)
-        return self.partner_on_line(pos)
-
-    def report(self) -> LineReport:
-        sample = []
-        lo = self.side1.pre + 2 * self.side1.period + 2
-        hi = self.side2.pre + 2 * self.side2.period + 2
-        for pos in range(-lo, hi + 1):
-            if self.a_at(pos):
-                sample.append(pos)
-        return LineReport(
-            m=self.m,
-            m_len=self.m_len,
-            e1=self.e1,
-            e2=self.e2,
-            odd_pair=self.odd_pair,
-            a_parities=self.a_parities,
-            a_positions_sample=tuple(sample),
-            side_summaries=(
-                (self.side1.pre, self.side1.period, self.side1.cycle_any),
-                (self.side2.pre, self.side2.period, self.side2.cycle_any),
-            ),
-        )
 
 
 def two_end_matching(
@@ -802,12 +697,15 @@ def two_end_matching(
     for e in (e1, e2):
         if not validate_end(t, e):
             raise ValueError(f"invalid end descriptor {e.render()}")
-    line = _TwoEndLine(t, e1, e2, budget)
+    line = _Line(t, e1, e2)
     if line.odd_pair:
-        oracle = MatchingOracle(t, lambda v: True, line.partner, "two-end full", line.anchors)
+        tripod = _line_tripod(line, budget, spine=False)
+        oracle = MatchingOracle(t, lambda v: True, tripod.partner, "two-end full", tripod.is_anchor)
         return EndsOutput(BSet("empty"), oracle, 2)
+    tripod = _Tripod(line.m, _stem(t, line.m, None), line)
     oracle = MatchingOracle(
-        t, lambda v: line.position_of(v) is None, line.partner, "two-end off-line", line.anchors
+        t, lambda v: line.position_of(v) is None, tripod.partner, "two-end off-line",
+        tripod.is_anchor,
     )
     return EndsOutput(BSet("line", line.report()), oracle, 2)
 
@@ -838,8 +736,8 @@ def many_end_matching(t: AutomaticTree, ends: Sequence) -> EndsOutput:
             break
     if median is None:
         median = sorted(div, key=len)[1]
-    comp = _Component(t, median)
-    oracle = MatchingOracle(t, lambda v: True, comp.partner, "many-end", _prefixes_of(median))
+    tripod = _Tripod(median, _stem(t, median, 0))
+    oracle = MatchingOracle(t, lambda v: True, tripod.partner, "many-end", tripod.is_anchor)
     return EndsOutput(BSet("empty"), oracle, len(ends))
 
 

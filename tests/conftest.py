@@ -56,6 +56,20 @@ def random_machine(rng):
             return t, ends
 
 
+def equivalent_descriptor(text: str, rng) -> str:
+    """Another descriptor of the same ray: unroll the period into the
+    preperiod some times, and maybe double the period."""
+    pre_text, per_text = text.split("|")
+    pre = pre_text.split(",") if pre_text else []
+    per = per_text.split(",")
+    for _ in range(rng.randrange(3)):
+        pre.append(per[0])
+        per = per[1:] + per[:1]
+    if rng.random() < 0.5:
+        per = per + per
+    return ",".join(pre) + "|" + ",".join(per)
+
+
 def induced_tree_graph(t: AutomaticTree, vertices):
     """FiniteGraph on the given tree vertices with the edges they induce.
 

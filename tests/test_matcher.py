@@ -1,5 +1,6 @@
 """Constructive matchings: rooted and end-based."""
 
+import tracemalloc
 from random import Random
 
 import pytest
@@ -14,6 +15,7 @@ from treematch import (
     shortlex,
 )
 from treematch.errors import BudgetExceededError, InvariantViolationError
+from treematch.graph_core import divergence_length
 from treematch.matcher import (
     EndsOutput,
     MatchingOracle,
@@ -27,7 +29,12 @@ from treematch.matcher import (
 from treematch.oracle import enumerate_perfect_matchings
 from treematch.presets import BAD_RAY_TRUTH, BATTERY, BATTERY_ENDS, battery_ends
 
-from conftest import check_window_matching, induced_tree_graph, random_machine
+from conftest import (
+    check_window_matching,
+    equivalent_descriptor,
+    induced_tree_graph,
+    random_machine,
+)
 
 
 def parse_ends(texts):
@@ -422,11 +429,20 @@ class TestAnchorRule:
             oracle._partner_fn = recording
             b_vertices = [v for v in win.paths if in_b(v)]
             assert pointwise_sweep(oracle, win, b_vertices)[0] == "pairs", (name, label)
-            if oracle._anchors is None:  # the bare line's empty matching
+            is_anchor = oracle._is_anchor
+            if is_anchor is None:  # the bare line's empty matching
                 assert not asked and len(b_vertices) == len(win.paths), (name, label)
                 continue
             assert len(asked) == len(set(asked)), (name, label)
-            assert set(asked) <= set(oracle._anchors(win.depth + 1)), (name, label)
+            assert all(map(is_anchor, asked)), (name, label)
+            # restricted_pairs relies on this: the anchors are prefix-closed
+            # and hold the root and every vertex outside the domain.
+            assert is_anchor(ROOT), (name, label)
+            for v in t.window(win.depth + 1).paths:
+                if v and is_anchor(v):
+                    assert is_anchor(v[:-1]), (name, label, v)
+                if not oracle.in_domain(v):
+                    assert is_anchor(v), (name, label, v)
 
     def test_deep_queries_off_the_line(self):
         # Far beyond the recursion limit: below a line vertex of a one-end
@@ -537,13 +553,19 @@ def window_pass(oracle, win, b_vertices):
         return ("error", type(exc), str(exc), getattr(exc, "frontier", None))
 
 
-def end_constructions(t, ends, budget=100_000):
-    """(oracle, B predicate) of the construction match_ends dispatches to,
-    built fresh."""
+def representatives(t, ends):
+    """The ends up to equivalence, each by its first descriptor."""
     reps = []
     for e in ends:
         if not any(ends_equivalent(t, e, r) for r in reps):
             reps.append(e)
+    return reps
+
+
+def end_constructions(t, ends, budget=100_000):
+    """(oracle, B predicate) of the construction match_ends dispatches to,
+    built fresh."""
+    reps = representatives(t, ends)
     if len(reps) == 1:
         res = one_end_matching(t, reps[0], budget)
     elif len(reps) == 2:
@@ -587,22 +609,32 @@ class TestWindowPass:
         assert self.compare(t, lambda: end_constructions(t, ends), 8) == ("many-end", "pairs")
 
     def test_budget_limited_runs_fail_alike(self, battery):
-        # Budgets 1 and 2 let some line walks through and stop others; the
-        # pass must stop at the same walk as the sweep.
-        outcomes = []
+        # The budget bounds every gap between consecutive flagged positions
+        # of a matched line, and it is checked once, when the construction
+        # is built. Budget 1 stops exactly the matched lines with a gap of 2
+        # or more: on the binary, mixed_period and ray_comb trees the line
+        # runs through a root of branch 2, which has no neighbour off the
+        # line, and even_comb's teeth are two apart. Budget 2 lets all of
+        # them through. A construction that is built answers every query of
+        # the window, as the sweep does.
+        stopped = set()
         for budget in (1, 2):
             for name in sorted(BATTERY_ENDS):
                 t = battery[name]
                 for ends in battery_ends(name):
                     if len(ends) > 2:
                         continue  # the many-end matching walks no line
+                    build = lambda: end_constructions(t, ends, budget)  # noqa: E731
                     try:
-                        build = lambda: end_constructions(t, ends, budget)  # noqa: E731
                         build()
-                    except BudgetExceededError:
+                    except BudgetExceededError as exc:
+                        assert "budget exceeded walking the line from" in str(exc)
+                        assert len(exc.frontier) == 1
+                        stopped.add((budget, name, len(ends)))
                         continue
-                    outcomes.append(self.compare(t, build, 8)[1])
-        assert "error" in outcomes and "pairs" in outcomes
+                    assert self.compare(t, build, 8)[1] == "pairs", (budget, name, ends)
+        assert stopped == {(1, "binary", 1), (1, "binary", 2), (1, "even_comb", 1),
+                           (1, "mixed_period", 1), (1, "mixed_period", 2), (1, "ray_comb", 1)}
 
     def test_random_machines_at_depth_6(self):
         rng = Random(2024)
@@ -622,3 +654,86 @@ class TestWindowPass:
                 seen.add(self.compare(t, build, 6)[0])
         assert seen == {"rooted", "one-end injective", "one-end rooted fallback", "one-end",
                         "two-end full", "two-end off-line", "many-end"}
+
+
+def line_cases(battery):
+    """(tree, representative ends) with one or two ends, built without a
+    ValueError: the battery's groups, then the ends of TestWindowPass's 300
+    seeded random machines."""
+    cases = [(battery[name], ends) for name in sorted(BATTERY_ENDS)
+             for ends in battery_ends(name) if len(ends) <= 2]
+    rng = Random(2024)
+    for _ in range(300):
+        cases.append(random_machine(rng))
+    for t, ends in cases:
+        reps = representatives(t, ends)
+        if len(reps) > 2:
+            continue
+        try:
+            end_constructions(t, reps)
+        except ValueError:
+            continue
+        yield t, reps
+
+
+def compiled(oracle):
+    """The tripod an end construction compiled to, as (m, stem codes, ray
+    words); None for the bare line's empty matching."""
+    tripod = getattr(oracle._partner_fn, "__self__", None)
+    return tripod and (tripod.m, tripod.stem, tripod.words)
+
+
+class TestTripodWords:
+    """Each one- and two-end construction is read from a compiled word, at
+    any depth."""
+
+    def test_periodic_extension_past_any_window(self, battery):
+        # Every position of the line's two rays down to depth m_len + 200
+        # pairs with a tree neighbour that pairs back: the cycle words hold
+        # where no window reaches.
+        seen = set()
+        for t, reps in line_cases(battery):
+            oracle, _ = end_constructions(t, reps)
+            if len(reps) == 1:
+                e = reps[0]
+                rays, m_len = (EndDescriptor((1 if e.index(0) == 0 else 0,), (0,)), e), 0
+            else:
+                rays, m_len = reps, divergence_length(*reps)
+            for ray in rays:
+                for n in range(m_len + 1, m_len + 201):
+                    v = ray.prefix(n)
+                    if not oracle.in_domain(v):
+                        continue  # the exceptional line
+                    p = oracle.partner(v)
+                    upper, lower = sorted((v, p), key=len)
+                    assert lower[:-1] == upper and t.is_valid_vertex(lower), (reps, v, p)
+                    assert oracle.partner(p) == v, (reps, v)
+            seen.add(oracle.description)
+        assert {"one-end", "two-end full", "two-end off-line"} <= seen
+
+    def test_equivalent_descriptors_compile_alike(self, battery):
+        # Unrolling a period into the preperiod or doubling it changes the
+        # flag words' preperiod and period, not the compiled codes.
+        rng = Random(17)
+        for t, reps in line_cases(battery):
+            expected = compiled(end_constructions(t, reps)[0])
+            for _ in range(2):
+                other = [EndDescriptor.parse(equivalent_descriptor(e.render(), rng)) for e in reps]
+                assert compiled(end_constructions(t, other)[0]) == expected, reps
+
+    @pytest.mark.parametrize("texts", [["|0"], ["0|0", "0|1"]])
+    def test_deep_line_query_stays_small(self, texts):
+        # One query on the line at depth 3000 of the binary tree reads the
+        # word: no set of anchors per depth and no memo down the line.
+        t = BATTERY["binary"]()
+        ends = parse_ends(texts)
+        oracle = match_ends(t, ends, check_depth=0).oracle
+        v = ends[0].prefix(3000)
+        tracemalloc.start()
+        try:
+            p = oracle.partner(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
+        assert oracle.partner(p) == v

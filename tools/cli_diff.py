@@ -14,7 +14,11 @@ of tree commands on both sides:
   `baire-sweep` with three seed sets;
 - 40 seeded random machines (at most 3 states, branch at most 3, with 1 to
   3 valid ends each; `random_machine` of tests/conftest.py) at depths 0 to
-  7 with the same commands.
+  7 with the same commands;
+- each of those `match-ends` runs once more with every end given by an
+  equivalent, non-canonical descriptor: the period partly unrolled into the
+  preperiod, and maybe doubled (`equivalent_descriptor` of
+  tests/conftest.py, seeded).
 
 Each side runs in one worker subprocess that imports treematch from that
 side's src/ and calls `treematch.cli.run` once per run, capturing stdout
@@ -42,7 +46,7 @@ from bench_json import ROOT, export, git
 
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import random_machine, tree_text  # noqa: E402
+from conftest import equivalent_descriptor, random_machine, tree_text  # noqa: E402
 from treematch.presets import BATTERY, BATTERY_ENDS  # noqa: E402
 
 SWEEP_SEEDS = (("/",), ("/", "0/0/0"), ("1/0", "0/1/1", "1/1/1/1"))
@@ -73,11 +77,12 @@ MASK = re.compile(r"\b(runtime|pointwise)=\S+")
 RUNTIME = re.compile(r"\bruntime=\S+")
 
 
-def tree_runs(path: Path, depth: int, end_groups) -> list:
+def tree_runs(path: Path, depth: int, end_groups, rewrite: Random) -> list:
     d = ["--tree", str(path), "--depth", str(depth)]
     runs = [["match-rooted", *d], ["derivative", *d]]
     for group in end_groups:
-        runs.append(["match-ends", *d, *(arg for e in group for arg in ("--end", e))])
+        for ends in (group, [equivalent_descriptor(e, rewrite) for e in group]):
+            runs.append(["match-ends", *d, *(arg for e in ends for arg in ("--end", e))])
     for seeds in SWEEP_SEEDS:
         runs.append(["baire-sweep", *d, "--budget", SWEEP_BUDGET,
                      *(arg for s in seeds for arg in ("--seed", s))])
@@ -86,18 +91,19 @@ def tree_runs(path: Path, depth: int, end_groups) -> list:
 
 def matrix(tree_dir: Path) -> list:
     runs = []
+    rewrite = Random(17)
     for name in sorted(BATTERY):
         path = tree_dir / f"{name}.tree"
         path.write_text(tree_text(BATTERY[name]()))
         for depth in range(11):
-            runs += tree_runs(path, depth, BATTERY_ENDS.get(name, []))
+            runs += tree_runs(path, depth, BATTERY_ENDS.get(name, []), rewrite)
     rng = Random(11)
     for k in range(RANDOM_MACHINES):
         t, ends = random_machine(rng)
         path = tree_dir / f"random{k}.tree"
         path.write_text(tree_text(t))
         for depth in range(8):
-            runs += tree_runs(path, depth, [[e.render() for e in ends]])
+            runs += tree_runs(path, depth, [[e.render() for e in ends]], rewrite)
     return runs
 
 
