@@ -49,6 +49,8 @@ def _parse_graph_text(text: str) -> FiniteGraph:
                 raise FormatError("vertex count must be an integer", lineno)
             if n < 0:
                 raise FormatError("vertex count must be nonnegative", lineno)
+            if n > MAX_WINDOW_VERTICES:
+                raise FormatError(f"vertex count {n} exceeds the cap of {MAX_WINDOW_VERTICES}", lineno)
             continue
         if parts[0] == "e":
             if len(parts) != 3:

@@ -19,9 +19,13 @@ from .errors import BudgetExceededError, FormatError
 TreeVertex = tuple  # tuple[int, ...]
 ROOT: TreeVertex = ()
 
-# Largest window any command builds. It also caps a state's branch count at
-# parse time: a vertex with more children than this fits in no window.
+# Largest window any command builds. It also caps a state's branch count and
+# a graph file's vertex count at parse time: a vertex with more children
+# than this fits in no window, and every command builds a graph's vertices.
 MAX_WINDOW_VERTICES = 200_000
+# Largest sum of |v| over a window's vertices: each path is its own tuple, so
+# on a thin tree memory grows with the square of the depth.
+MAX_WINDOW_PATH_LENGTH = 4_000_000
 
 
 def shortlex(path: TreeVertex) -> tuple:
@@ -286,24 +290,37 @@ class AutomaticTree:
             k += 1
         return len(u) + len(v) - 2 * k
 
-    def window(self, depth: int, max_vertices: int | None = MAX_WINDOW_VERTICES) -> "Window":
-        """All vertices of path length <= depth, in shortlex order."""
+    def window(self, depth: int) -> "Window":
+        """All vertices of path length <= depth, in shortlex order. Its size
+        is first counted level by level by state, so a window over either
+        cap raises BudgetExceededError before any path is built."""
         if depth < 0:
             raise ValueError("depth must be nonnegative")
+        level, vertices, total, levels = {self.root_state: 1}, 0, 0, 0
+        while level and levels <= depth:
+            size = sum(level.values())
+            vertices, total = vertices + size, total + levels * size
+            if vertices > MAX_WINDOW_VERTICES:
+                raise BudgetExceededError(f"window depth {depth} exceeds {MAX_WINDOW_VERTICES} vertices")
+            if total > MAX_WINDOW_PATH_LENGTH:
+                raise BudgetExceededError(
+                    f"window depth {depth} exceeds {MAX_WINDOW_PATH_LENGTH} total path length"
+                )
+            below: dict = {}
+            for q, k in level.items():
+                for r in self._child_states[q]:
+                    below[r] = below.get(r, 0) + k
+            level, levels = below, levels + 1
         paths = [ROOT]
         states = [self.root_state]
         level_start = 0
-        for _ in range(depth):
+        for _ in range(levels - 1):
             level_end = len(paths)
             for pos in range(level_start, level_end):
                 v = paths[pos]
                 for i, r in enumerate(self._child_states[states[pos]]):
                     paths.append(v + (i,))
                     states.append(r)
-                    if max_vertices is not None and len(paths) > max_vertices:
-                        raise BudgetExceededError(
-                            f"window depth {depth} exceeds {max_vertices} vertices"
-                        )
             level_start = level_end
         return Window(tree=self, depth=depth, paths=tuple(paths), states=tuple(states))
 

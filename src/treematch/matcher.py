@@ -27,9 +27,10 @@ only there is the word read. Everywhere else the anchor rule is the
 definition: a vertex pairs with its parent if the parent pairs with it,
 and otherwise with its child 0; an anchor outside the domain (the
 exceptional line of a two-end matching) pairs with nobody.
-MatchingOracle.partner applies the rule upward from a query to the nearest
-known vertex or anchor, and a window pass (MatchingOracle.restricted_pairs)
-applies it top-down. The rule is each construction's component matching
+MatchingOracle.partner finds the deepest anchor above a query by bisection
+and carries the rule down from it, and a window pass
+(MatchingOracle.restricted_pairs) applies it top-down; neither keeps any
+state between calls. The rule is each construction's component matching
 off the tripod. In a component, a vertex pairs with its neighbour toward
 the component root if that neighbour pairs with it, and otherwise with its
 first kept neighbour, children first. Off the tripod this reduces to the
@@ -45,7 +46,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Collection, Sequence
+from typing import Callable, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError
 from .graph_core import (
@@ -68,23 +69,23 @@ PARENT = -1  # a window pass's code for "pairs with its parent"; i >= 0 is child
 class WindowPairs(list):
     """The pairs a window pass saw, as (upper, lower) tree edges in window
     order of their upper ends, with what they are rendered and checked from:
-    the window, each upper end's window index, the pairs that reach a
-    left-out vertex, the positions of the pairs whose lower end lies beyond
-    the window and was asked pointwise, and the number of pointwise partner
-    queries made."""
+    the window, each upper end's window index, the window indices of the
+    left-out vertices (the anchors outside the domain), the positions of the
+    pairs whose lower end lies beyond the window and was asked pointwise,
+    and the number of pointwise partner queries made."""
 
     def __init__(self, window: Window):
         super().__init__()
         self.window = window
         self.uppers: list = []
-        self.left_out: list = []
+        self.skipped: list = []
         self.beyond: list = []
         self.pointwise = 0
 
 
 class MatchingOracle:
     """Pointwise access to a matching: a domain predicate plus a partner
-    function, with memoized queries.
+    function. It keeps no state between queries.
 
     is_anchor(v), when given, tells whether partner_fn is asked about v: it
     holds at the root, at the parent of every vertex where it holds and at
@@ -106,89 +107,76 @@ class MatchingOracle:
         self._partner_fn = partner_fn
         self.description = description
         self._is_anchor = is_anchor
-        self._memo: dict = {}  # vertex -> partner, None for an anchor outside the domain
 
     def in_domain(self, v: TreeVertex) -> bool:
         return self.tree.is_valid_vertex(v) and bool(self._in_domain(v))
 
     def partner(self, v: TreeVertex) -> TreeVertex:
-        memo = self._memo
-        p = memo.get(v)
-        if p is not None:
-            return p
         if not self.tree.is_valid_vertex(v):
             raise ValueError(f"invalid vertex {render_path(v)}")
         if not self._in_domain(v):
             raise ValueError(f"vertex {render_path(v)} is outside the oracle domain")
         is_anchor = self._is_anchor
-        if is_anchor is None:
-            p = memo[v] = self._partner_fn(v)
-            return p
-        # Climb to the nearest known vertex or anchor, in a loop so that a
-        # query far below works, then apply the anchor rule downward.
-        path = [v]
-        while path[-1] not in memo and not is_anchor(path[-1]):
-            path.append(path[-1][:-1])
-        x = path.pop()
-        if x not in memo:
-            memo[x] = self._partner_fn(x) if x is v or self._in_domain(x) else None
-        for y in reversed(path):
-            memo[y] = x if memo[x] == y else y + (0,)
-            x = y
-        return memo[v]
+        if is_anchor is None or is_anchor(v):
+            return self._partner_fn(v)
+        # The anchors are prefix-closed and hold the root: bisect for the
+        # deepest one above v, then carry the anchor rule down the rest of v,
+        # with up telling whether the prefix reached pairs with its parent.
+        lo, hi = 0, len(v)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if is_anchor(v[:mid]):
+                lo = mid
+            else:
+                hi = mid
+        x = v[:lo]
+        up = self._in_domain(x) and self._partner_fn(x) == v[: lo + 1]
+        for i in v[lo + 1 :]:
+            up = not up and i == 0
+        return v[:-1] if up else v + (0,)
 
-    def restricted_pairs(self, win: Window, skip: Collection = ()) -> WindowPairs:
-        """The matching seen from the window minus the vertices in skip (given
-        by window index), in one top-down pass.
+    def restricted_pairs(self, win: Window) -> WindowPairs:
+        """The matching seen from the window, in one top-down pass.
 
         The anchors are asked pointwise, in window order (for an oracle
-        without is_anchor every window vertex is an anchor); a partner so
-        asked is asked at once when it is an anchor too, as a pointwise
-        sweep would. The anchors are prefix-closed by construction, so a
-        vertex is tested only when its parent is an anchor. Every other vertex follows the anchor rule, as partner
-        does: it pairs with its parent if the parent pairs with it, and
-        otherwise with its child 0. A vertex of skip is not asked. Outside
-        the domain it pairs with nobody, so its children off the anchors
-        take child 0; inside the domain its children are asked, which finds
-        its pair.
+        without is_anchor every window vertex is an anchor). They are
+        prefix-closed, so a vertex is tested only when its parent is an
+        anchor. An anchor outside the domain is left out: it pairs with
+        nobody and its window index goes to skipped. Every other vertex lies
+        in the domain and follows the anchor rule, as partner does: it pairs
+        with its parent if the parent pairs with it, and otherwise with its
+        child 0.
 
         By window index the pass checks that each partner is a tree
-        neighbour, that the involution holds inside the window and that a
-        vertex of skip is claimed at most once (ValueError "matched twice"
-        otherwise). A partner one level beyond the window that was asked
-        pointwise is asked back after the pass and must point back.
+        neighbour, that the involution holds inside the window and that no
+        pair reaches a left-out vertex (ValueError otherwise). A partner one
+        level beyond the window that was asked pointwise is asked back after
+        the pass and must point back.
         """
         paths, states, first = win.paths, win.states, win.child_start
         tree = win.tree
         branch = {q: tree.branch_of(q) for q in tree.states}
         n = len(paths)
         out = WindowPairs(win)
-        pairs, uppers, left_out, beyond = out, out.uppers, out.left_out, out.beyond
+        pairs, uppers, skipped, beyond = out, out.uppers, out.skipped, out.beyond
         is_anchor = self._is_anchor or (lambda v: True)
-        skipped = set(skip)
-        inside = {c for c in skipped if self._in_domain(paths[c])}
         anchored = {0}
-        asked = set()
-        claimed = set()  # vertices of skip claimed as a partner
-        # Families whose children are not all ruled: below an anchor, in skip
-        # or below a vertex of skip.
-        slow = anchored | skipped | {bisect.bisect_right(first, c) - 1 for c in skipped if c}
-        choice = [None] * n  # PARENT, a child index, or None for a vertex of skip
+        choice = [None] * n  # PARENT, a child index, or None for a left-out vertex
         boundary = win.boundary_start
 
-        def ask(c: int) -> int:
-            """Vertex c's pointwise partner as PARENT or a child index."""
-            asked.add(c)
+        def ask(c: int) -> int | None:
+            """Anchor c's partner as PARENT or a child index, or None when c
+            is outside the domain."""
+            v = paths[c]
+            if not self._in_domain(v):
+                skipped.append(c)
+                return None
             out.pointwise += 1
-            v, p = paths[c], self.partner(paths[c])
+            p = self.partner(v)
             d = len(v)
             if len(p) == d + 1 and p[:d] == v:
                 if not 0 <= p[-1] < branch[states[c]]:
                     raise ValueError(f"invalid vertex {render_path(p)}")
-                if c < boundary:
-                    below = first[c] + p[-1]
-                    if below not in skipped and is_anchor(p):
-                        self.partner(p)
                 return p[-1]
             if d and len(p) == d - 1 and p == v[:-1]:
                 return PARENT
@@ -196,13 +184,7 @@ class MatchingOracle:
                 raise ValueError(f"loop pair {v!r}")
             raise ValueError(f"pair {render_path(v)} {render_path(p)} is not a tree edge")
 
-        def claim(c: int) -> None:
-            if c in claimed:
-                raise ValueError(f"vertex {paths[c]!r} matched twice")
-            claimed.add(c)
-
-        if 0 not in skipped:
-            choice[0] = ask(0)
+        choice[0] = ask(0)
         zeros = [0] * max(branch.values(), default=0)
         for j in range(boundary):
             up = choice[j]
@@ -219,36 +201,25 @@ class MatchingOracle:
                 pairs.append((v, paths[start + up]))
                 uppers.append(j)
             end = start + k
-            if j not in slow:
+            if j not in anchored:
                 choice[start:end] = zeros[:k]
-                if up is not None and up >= 0:
-                    choice[start + up] = PARENT
+                if up == 0:
+                    choice[start] = PARENT
                 continue
             for c in range(start, end):
                 i = c - start
-                if j in anchored and is_anchor(paths[c]):
-                    anchored.add(c)
-                    slow.add(c)
-                if c in skipped:
-                    if up == i:
-                        claim(c)
-                        left_out.append(pairs[-1])
-                    continue
-                if c in anchored or j in inside:
-                    code = ask(c)
-                    if code == PARENT:
-                        if up is None:
-                            claim(j)
-                            pairs.append((v, paths[c]))
-                            uppers.append(j)
-                            left_out.append(pairs[-1])
-                        elif up != i:
-                            raise ValueError(f"vertex {v!r} matched twice")
-                    elif up == i:
-                        raise ValueError(f"vertex {paths[c]!r} matched twice")
-                    choice[c] = code
-                else:
+                if not is_anchor(paths[c]):
                     choice[c] = PARENT if up == i else 0
+                    continue
+                anchored.add(c)
+                code = choice[c] = ask(c)
+                if code == PARENT and up != i or up == i and code != PARENT:
+                    if up is None or code is None:
+                        raise ValueError(
+                            f"pair {render_path(v)} {render_path(paths[c])} "
+                            "meets a vertex outside the domain"
+                        )
+                    raise ValueError(f"vertex {(v if code == PARENT else paths[c])!r} matched twice")
         for j in range(boundary, n):
             up = choice[j]
             if up is not None and up >= 0:
@@ -259,7 +230,7 @@ class MatchingOracle:
                 v = paths[j]
                 pairs.append((v, v + (up,)))
                 uppers.append(j)
-                if j in asked:
+                if j in anchored:
                     beyond.append(len(pairs) - 1)
         for pos in beyond:
             a, b = pairs[pos]
@@ -786,18 +757,21 @@ def match_ends(
 def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> tuple:
     """Window check of the structural conclusions: the exceptional set B is
     2-regular, spans at most one component, has no two degree->=3 vertices at
-    odd distance, is empty on a tree with no bad ray and lies outside the
-    oracle domain, and the matching is perfect off B.
+    odd distance, is empty on a tree with no bad ray and is exactly the
+    window's vertices outside the oracle domain, and the matching is perfect
+    off B.
 
-    The matching is read in the one restricted_pairs pass over the window
-    minus B, which checks tree edges, the involution and partners beyond
-    the window it asked. No pair may then reach B: a left-out vertex inside
-    the window, or a partner beyond it that was asked pointwise (the anchor
-    rule keeps the others off B). The pass asks partner only at the anchors
-    and applies the anchor rule elsewhere, which is how out.oracle.partner
-    itself answers off the anchors, so this certifies out.oracle.partner on
-    the window. Returns (window size, B's window vertices in shortlex order,
-    the verified WindowPairs); raises InvariantViolationError on failure."""
+    The matching is read in the one restricted_pairs pass over the window,
+    which leaves out the vertices outside the domain and checks tree edges,
+    the involution, that no pair reaches a left-out vertex and the partners
+    beyond the window it asked. Those left out must be B's window vertices,
+    and no partner beyond the window that was asked pointwise may lie in B
+    (the anchor rule keeps the others off B). The pass asks partner only at
+    the anchors and applies the anchor rule elsewhere, which is how
+    out.oracle.partner itself answers off the anchors, so this certifies
+    out.oracle.partner on the window. Returns (window size, B's window
+    vertices in shortlex order, the verified WindowPairs); raises
+    InvariantViolationError on failure."""
     win = t.window(depth)
     in_b = out.b_set.contains
     if out.b_set.kind == "empty":
@@ -829,16 +803,18 @@ def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> tuple:
                 f"exceptional vertices {render_path(a)}, {render_path(b)} "
                 "have degree >= 3 and odd distance"
             )
-    for v in b_vertices:
-        if out.oracle.in_domain(v):
-            raise InvariantViolationError(
-                f"exceptional vertex {render_path(v)} is in the oracle domain"
-            )
     try:
-        pairs = out.oracle.restricted_pairs(win, b_index)
+        pairs = out.oracle.restricted_pairs(win)
     except ValueError as exc:
         raise InvariantViolationError(str(exc)) from exc
-    met = pairs.left_out + [pairs[pos] for pos in pairs.beyond if in_b(pairs[pos][1])]
+    odd = set(pairs.skipped).symmetric_difference(b_index)
+    if odd:
+        j = min(odd)
+        v = render_path(win.paths[j])
+        if j in b_index:
+            raise InvariantViolationError(f"exceptional vertex {v} is in the oracle domain")
+        raise InvariantViolationError(f"vertex {v} is outside the oracle domain and not exceptional")
+    met = [pairs[pos] for pos in pairs.beyond if in_b(pairs[pos][1])]
     if met:
         a, b = met[0]
         raise InvariantViolationError(

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, and frozen outputs."""
 
 import hashlib
+import time
 
 import pytest
 
@@ -140,6 +141,17 @@ class TestMatchRooted:
         # The root, the line's 2 x 4 vertices below it, and the depth-5 line
         # vertex that the depth-4 one pairs with, asked back.
         assert err.endswith(" pointwise=10\n")
+
+    def test_deep_thin_window_is_refused_before_it_is_built(self, files):
+        # 199,999 vertices, under the vertex cap, but a total path length of
+        # about 10**10: refused from the count by state, in well under a
+        # second, with the budget's exit code.
+        start = time.monotonic()
+        code, out, err = cli_run(["match-rooted", "--tree", files["line.tree"], "--depth", "99999"])
+        assert time.monotonic() - start < 1
+        assert code == 3
+        assert out == ""
+        assert "total path length" in err
 
     def test_rejects_leaf_states(self, files, tmp_path):
         leafy = tmp_path / "leafy.tree"
@@ -367,6 +379,17 @@ class TestFormatErrors:
         assert out == ""
         assert err.startswith("error: line 2:")
         assert "window cap" in err
+
+    def test_vertex_count_above_the_cap(self, tmp_path):
+        # Rejected while parsing the header, before any vertex is built.
+        for n in (200_001, 10**12):
+            bad = tmp_path / "huge.g"
+            bad.write_text(f"graph {n}\n")
+            for command in ("derivative", "subdivide"):
+                code, out, err = cli_run([command, "--graph", str(bad)])
+                assert code == 2, (n, command)
+                assert out == ""
+                assert err.startswith("error: line 1:") and "exceeds the cap" in err
 
     def test_missing_file(self):
         code, _, err = cli_run(["derivative", "--graph", "/nonexistent.g"])

@@ -19,8 +19,8 @@ from treematch import (
     shortlex,
     validate_end,
 )
-from treematch.errors import FormatError
-from treematch.graph_core import divergence_length
+from treematch.errors import BudgetExceededError, FormatError
+from treematch.graph_core import MAX_WINDOW_PATH_LENGTH, MAX_WINDOW_VERTICES, divergence_length
 from treematch.presets import BAD_RAY_TRUTH, BATTERY, path_graph, star_graph
 
 from conftest import induced_tree_graph, longest_window_bad_path
@@ -202,6 +202,26 @@ class TestAutomaticTree:
             for i, v in enumerate(order):
                 if len(v) <= 3:
                     assert graph.degree(i) == t.degree(v), (name, v)
+
+    def test_window_caps_are_checked_before_building(self):
+        # binary at depth 17 has 262,143 vertices; the line at depth 2000
+        # has 4,001 vertices but a total path length of 4,002,000. Both are
+        # refused from a count by state, before any path exists.
+        with pytest.raises(BudgetExceededError, match=f"exceeds {MAX_WINDOW_VERTICES} vertices"):
+            BATTERY["binary"]().window(17)
+        line = BATTERY["line"]()
+        assert sum(map(len, line.window(1999).paths)) <= MAX_WINDOW_PATH_LENGTH
+        with pytest.raises(BudgetExceededError,
+                           match=f"exceeds {MAX_WINDOW_PATH_LENGTH} total path length"):
+            line.window(2000)
+        with pytest.raises(BudgetExceededError):
+            line.window(10**12)
+
+    def test_window_of_a_finite_tree_stops_at_its_last_level(self):
+        t = AutomaticTree.build("r", {"r": 2, "leaf": 0}, {("r", 0): "leaf", ("r", 1): "leaf"})
+        win = t.window(10**12)
+        assert win.paths == (ROOT, (0,), (1,))
+        assert win.boundary_start == 3
 
     def test_build_fills_self_loops(self):
         t = AutomaticTree.build("a", {"a": 2})

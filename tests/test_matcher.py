@@ -338,8 +338,7 @@ class TestVerifierFailures:
 
 def fresh_constructions(t, name):
     """(label, build) for every construction the battery tree supports. Each
-    build() returns a new oracle, with an empty memo, and its exceptional-set
-    predicate."""
+    build() returns a new oracle and its exceptional-set predicate."""
     out = [("rooted", lambda: (rooted_matching(t), lambda v: False))]
     for ends in battery_ends(name) if name in BATTERY_ENDS else []:
         def build(ends=ends):
@@ -356,6 +355,10 @@ def fresh_constructions(t, name):
 
 
 class TestMemoizedPartners:
+    """partner keeps no state between queries, so the order of the queries
+    does not matter; the window pass leaves out exactly the vertices outside
+    the domain."""
+
     @pytest.mark.parametrize("name", sorted(BATTERY))
     def test_deepest_first_queries_agree(self, battery, name):
         t = battery[name]
@@ -370,36 +373,52 @@ class TestMemoizedPartners:
             assert checked == len(members), (name, label)
 
     def test_deep_pointwise_query(self):
-        # Far beyond the recursion limit: the memo is filled by a loop.
+        # Far beyond the recursion limit: the anchor rule runs in a loop.
         o = rooted_matching(BATTERY["binary"]())
         assert o.partner((0,) * 3000) == (0,) * 3001
 
     def test_render_pass_matches_the_sorted_matching(self, battery):
         for name, t in battery.items():
             o = rooted_matching(t)
-            # Leaving out the root makes the pair at (0,) end outside the set
-            # on its shortlex-smaller side.
             win = t.window(5)
             expected = Matching.of(
-                tuple(sorted((v, o.partner(v)), key=shortlex)) for v in win.paths[1:]
+                tuple(sorted((v, o.partner(v)), key=shortlex)) for v in win.paths
             ).sorted_pairs()
-            assert o.restricted_pairs(win, skip={0}) == expected, name
+            pairs = o.restricted_pairs(win)
+            assert pairs == expected and pairs.skipped == [], name
+
+    def test_render_pass_leaves_out_the_vertices_outside_the_domain(self, battery):
+        # With the root taken out of the domain, the rooted matching's own
+        # rule pairs the rest of the window by the anchor rule: the root is
+        # left out and (0,) takes its child 0. Asking every vertex instead
+        # finds (0,) pairing with the left-out root.
+        for name, t in battery.items():
+            o = rooted_matching(t)
+            rootless = MatchingOracle(t, lambda v: v != ROOT, o._partner_fn, "rootless",
+                                      o._is_anchor)
+            win = t.window(4)
+            pairs = rootless.restricted_pairs(win)
+            assert pairs.skipped == [0], name
+            assert list(pairs) == pointwise_sweep(rootless, win, [ROOT])[1], name
+            everywhere = MatchingOracle(t, lambda v: v != ROOT, o.partner, "asked everywhere")
+            with pytest.raises(ValueError, match="meets a vertex outside the domain"):
+                everywhere.restricted_pairs(win)
 
     def test_render_pass_rejects_a_non_involution(self):
         t = BATTERY["binary"]()
         down = MatchingOracle(t, lambda v: True, lambda v: v + (0,), "always down")
         with pytest.raises(ValueError, match="matched twice"):
             down.restricted_pairs(t.window(3))
-        up = MatchingOracle(t, lambda v: True, lambda v: v[:-1], "always up")
+        up = MatchingOracle(t, lambda v: True, lambda v: v[:-1] if v else (0,), "up")
         with pytest.raises(ValueError, match="matched twice"):
-            up.restricted_pairs(t.window(1), skip={0})
+            up.restricted_pairs(t.window(1))
 
     def test_render_pass_rejects_a_non_edge(self):
         t = BATTERY["binary"]()
         swap = {(0,): (1,), (1,): (0,)}
-        siblings = MatchingOracle(t, lambda v: True, swap.__getitem__, "siblings")
+        siblings = MatchingOracle(t, lambda v: v != ROOT, swap.__getitem__, "siblings")
         with pytest.raises(ValueError, match="not a tree edge"):
-            siblings.restricted_pairs(t.window(1), skip={0})
+            siblings.restricted_pairs(t.window(1))
 
 
 def chain_partner(oracle, top, k):
@@ -433,7 +452,6 @@ class TestAnchorRule:
             if is_anchor is None:  # the bare line's empty matching
                 assert not asked and len(b_vertices) == len(win.paths), (name, label)
                 continue
-            assert len(asked) == len(set(asked)), (name, label)
             assert all(map(is_anchor, asked)), (name, label)
             # restricted_pairs relies on this: the anchors are prefix-closed
             # and hold the root and every vertex outside the domain.
@@ -545,12 +563,15 @@ def pointwise_sweep(oracle, win, b_vertices):
 
 
 def window_pass(oracle, win, b_vertices):
-    b_set = set(b_vertices)
-    b_index = [j for j, v in enumerate(win.paths) if v in b_set]
+    """The window's pairs from one restricted_pairs pass, in the form of
+    pointwise_sweep. The pass leaves out the vertices outside the domain,
+    which must be exactly B's."""
     try:
-        return ("pairs", list(oracle.restricted_pairs(win, b_index)))
+        pairs = oracle.restricted_pairs(win)
     except Exception as exc:
         return ("error", type(exc), str(exc), getattr(exc, "frontier", None))
+    assert tuple(win.paths[j] for j in pairs.skipped) == tuple(b_vertices), oracle.description
+    return ("pairs", list(pairs))
 
 
 def representatives(t, ends):
@@ -577,9 +598,9 @@ def end_constructions(t, ends, budget=100_000):
 
 class TestWindowPass:
     """Two implementations of the anchor rule: the window pass applies it
-    top-down, and partner climbs from each query to the nearest known vertex
-    or anchor. The pass must see the pairs (or raise the error) that a
-    pointwise sweep does."""
+    top-down, and partner carries it down from the deepest anchor above each
+    query. The pass must see the pairs (or raise the error) that a pointwise
+    sweep does."""
 
     def compare(self, t, build, depth):
         oracle, in_b = build()
@@ -723,17 +744,18 @@ class TestTripodWords:
 
     @pytest.mark.parametrize("texts", [["|0"], ["0|0", "0|1"]])
     def test_deep_line_query_stays_small(self, texts):
-        # One query on the line at depth 3000 of the binary tree reads the
-        # word: no set of anchors per depth and no memo down the line.
+        # One query at depth 3000 of the binary tree, on the line or off the
+        # tripod below the line vertex (0,) or (0, 1), reads the word at one
+        # anchor: no set of anchors per depth and nothing kept along the query.
         t = BATTERY["binary"]()
         ends = parse_ends(texts)
         oracle = match_ends(t, ends, check_depth=0).oracle
-        v = ends[0].prefix(3000)
-        tracemalloc.start()
-        try:
-            p = oracle.partner(v)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20, peak
-        assert oracle.partner(p) == v
+        for v in (ends[0].prefix(3000), (0, 1) + (0,) * 2998):
+            tracemalloc.start()
+            try:
+                p = oracle.partner(v)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (v[:2], peak)
+            assert oracle.partner(p) == v
