@@ -268,7 +268,12 @@ def _even_step(ls: LevelSystem) -> LevelSystem:
 
 
 def levels(max_n: int):
-    """Yield every level 0..max_n in order."""
+    """Yield every level 0..max_n in order.
+
+    Each odd step's seed (u·0, v·1) joins a first string ending in 0 to a
+    second string ending in 1, that is copy 0 of the level before to copy 1,
+    which no shorter seed connects; so the recursion's own levels cannot
+    close a cycle. check_acyclic still checks this."""
     ls = init_level()
     yield ls
     while ls.n < max_n:
@@ -303,15 +308,19 @@ def check_acyclic(ls: LevelSystem) -> tuple:
     """The bipartite graph with the pairs as edges is a forest. Returns
     (ok, witness cycle as alternating (side, string) nodes or None).
 
-    Union-find by size over the values of the length-n strings: first
-    string u is node int(u), second string v is node 2^n + int(v), where
-    the empty string of level 0 has value 0. A SeedPairs view is checked on
-    the values alone, seed by seed; only when that finds a cycle are the
-    pairs listed, so the witness is the one the sorted pairs give. Raises
-    ValueError for an explicit string of another length."""
+    Pairs given as a view are the expansion of seeds, a SeedPairs' own or
+    else the level's, and are decided from those alone
+    (_seeds_close_a_cycle). Only when the seeds close a cycle, and for an
+    explicit tuple always, are the pairs listed, so the witness is the one
+    the sorted pairs give: union-find by size over the values of the
+    length-n strings, first string u as node int(u) and second string v as
+    node 2^n + int(v), where the empty string of level 0 has value 0.
+    Raises ValueError for an explicit string of another length."""
     n = ls.n
-    if isinstance(ls.pairs, SeedPairs) and _cycle_at(n, _seed_edges(ls.pairs)) is None:
-        return (True, None)
+    if not isinstance(ls.pairs, tuple):
+        seeds = ls.pairs.seeds if isinstance(ls.pairs, SeedPairs) else ls.seeds()
+        if not _seeds_close_a_cycle(seeds):
+            return (True, None)
     i = _cycle_at(n, _string_edges(n, ls.pairs))
     if i is None:
         return (True, None)
@@ -319,16 +328,45 @@ def check_acyclic(ls: LevelSystem) -> tuple:
     return (False, _forest_path(islice(ls.pairs, i), ("u", u), ("v", v)))
 
 
-def _seed_edges(pairs: SeedPairs):
-    """The node numbers of the pairs, seed by seed: seed (a, b) joins a·w
-    to b·w for each w."""
-    n = pairs.n
-    top = 1 << n
-    for a, b in pairs.seeds:
-        free = n - len(a)
-        x = int(a or "0", 2) << free
-        y = top + (int(b or "0", 2) << free)
-        yield from zip(range(x, x + (1 << free)), range(y, y + (1 << free)))
+def _root(joined: dict, x):
+    while x in joined:
+        x = joined[x]
+    return x
+
+
+def _seeds_close_a_cycle(seeds) -> bool:
+    """Whether the expansion of the seeds has a cycle at a level at least as
+    long as the longest seed; at every such level it is the same answer.
+
+    The pair graph at level l is two copies of the one at level l - 1, one
+    per last bit (a shorter seed keeps that bit on both sides), plus one
+    edge per seed of length l. So only the nodes that the seeds' prefixes
+    reach matter, each labelled with its component: at level 0 by the node
+    itself, at level l by the component of its (l-1)-prefix and its last
+    bit. The seeds of length l join labels in a union-find, and one that
+    joins a label to itself closes a cycle. A level labels at most two
+    nodes per seed, and builds no string longer than the seed."""
+    comp: dict = {}  # (side, prefix) at the level before -> its component number
+
+    def label(side: int, w: str):
+        return (comp[side, w[:-1]], w[-1]) if w else (side, w)
+
+    for ell in range(max((len(a) for a, _ in seeds), default=-1) + 1):
+        joined: dict = {}
+        for a, b in seeds:
+            if len(a) == ell:
+                x, y = _root(joined, label(0, a)), _root(joined, label(1, b))
+                if x == y:
+                    return True
+                joined[x] = y
+        numbers: dict = {}
+        comp = {
+            (side, w): numbers.setdefault(_root(joined, label(side, w)), len(numbers))
+            for a, b in seeds
+            if len(a) > ell
+            for side, w in ((0, a[:ell]), (1, b[:ell]))
+        }
+    return False
 
 
 def _string_edges(n: int, pairs):

@@ -108,9 +108,6 @@ class MatchingOracle:
         self.description = description
         self._is_anchor = is_anchor
 
-    def in_domain(self, v: TreeVertex) -> bool:
-        return self.tree.is_valid_vertex(v) and bool(self._in_domain(v))
-
     def partner(self, v: TreeVertex) -> TreeVertex:
         if not self.tree.is_valid_vertex(v):
             raise ValueError(f"invalid vertex {render_path(v)}")
@@ -771,7 +768,9 @@ def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> tuple:
     out.oracle.partner itself answers off the anchors, so this certifies
     out.oracle.partner on the window. Returns (window size, B's window
     vertices in shortlex order, the verified WindowPairs); raises
-    InvariantViolationError on failure."""
+    InvariantViolationError on failure. Every check reads degrees from the
+    window's states and depths from path lengths; none walks a vertex from
+    the root."""
     win = t.window(depth)
     in_b = out.b_set.contains
     if out.b_set.kind == "empty":
@@ -779,30 +778,29 @@ def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> tuple:
     else:
         b_index = tuple(itertools.compress(range(len(win.paths)), map(in_b, win.paths)))
     b_vertices = tuple(win.paths[j] for j in b_index)
-    flagged = set(b_vertices)
-    for v in b_vertices:
-        inside = sum(1 for w in t.neighbors(v) if in_b(w))
+    first = win.child_start
+    kids = [first[j + 1] - first[j] for j in b_index]
+    for v, k in zip(b_vertices, kids):
+        neighbors = [v + (i,) for i in range(k)] + [v[:-1]] * (v != ROOT)
+        inside = sum(map(in_b, neighbors))
         if inside != 2:
             raise InvariantViolationError(
                 f"exceptional vertex {render_path(v)} has {inside} exceptional neighbors"
             )
-    if flagged:
-        seen = {b_vertices[0]}
-        stack = [b_vertices[0]]
-        while stack:
-            for w in t.neighbors(stack.pop()):
-                if w in flagged and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) < len(flagged):
-            raise InvariantViolationError("exceptional set spans more than one window component")
-    branched = [v for v in b_vertices if t.degree(v) >= 3]
-    for a, b in itertools.combinations(branched, 2):
-        if t.tree_distance(a, b) % 2 == 1:
-            raise InvariantViolationError(
-                f"exceptional vertices {render_path(a)}, {render_path(b)} "
-                "have degree >= 3 and odd distance"
-            )
+    # The window's B vertices span a forest, whose edges join a vertex to its
+    # parent: one component when there is one vertex more than edges.
+    flagged = set(b_vertices)
+    if len(flagged) - sum(v[:-1] in flagged for v in b_vertices if v) > 1:
+        raise InvariantViolationError("exceptional set spans more than one window component")
+    # A tree is bipartite by depth, so two vertices lie at odd distance
+    # exactly when their depths differ in parity.
+    branched = [v for v, k in zip(b_vertices, kids) if k + (v != ROOT) >= 3]
+    opposite = [b for b in branched if (len(b) - len(branched[0])) % 2]
+    if opposite:
+        raise InvariantViolationError(
+            f"exceptional vertices {render_path(branched[0])}, {render_path(opposite[0])} "
+            "have degree >= 3 and odd distance"
+        )
     try:
         pairs = out.oracle.restricted_pairs(win)
     except ValueError as exc:

@@ -561,6 +561,40 @@ class TestSeedPairs:
             verdicts[result[0]] += 1
         assert verdicts[True] and verdicts[False]
 
+    def test_seeded_acyclicity_against_the_reference(self):
+        # Seeds of length 0, a repeated seed (two equal edges, a 2-cycle)
+        # and levels beyond the longest seed, where the pair graph is copies
+        # of the one at the longest seed's level.
+        pinned = [
+            (0, (("", ""),), True),
+            (0, (("", ""), ("", "")), False),
+            (4, (("", ""), ("", "")), False),
+            (6, (("01", "10"), ("01", "10")), False),
+            (5, (("", ""), ("0", "1")), True),
+            (9, (("", ""), ("0", "1"), ("1", "0")), False),
+            (9, (("0", "1"), ("01", "11")), False),  # a seed extending a seed
+            (9, (("", ""), ("0", "1"), ("10", "01")), True),
+        ]
+        for n, seeds, ok in pinned:
+            ls = LevelSystem(n, SeedPairs(n, seeds), (), (), ())
+            assert check_acyclic(ls)[0] == ok, (n, seeds)
+            assert check_acyclic(ls) == ref_check_acyclic(ls), (n, seeds)
+        rng = random.Random(29)
+        seen = Counter()
+        for _ in range(400):
+            n = rng.randrange(9)
+            seeds = random_seeds(rng, rng.randrange(n + 1), rng.randrange(8))
+            if seeds and rng.randrange(4) == 0:
+                seeds += (rng.choice(seeds),)
+            ls = LevelSystem(n, SeedPairs(n, seeds), (), (), ())
+            result = check_acyclic(ls)
+            assert result == ref_check_acyclic(ls), (n, seeds)
+            seen[result[0]] += 1
+            seen["empty seed"] += ("", "") in seeds
+            seen["past the longest"] += n > max((len(a) for a, _ in seeds), default=0)
+        assert seen[True] > 50 and seen[False] > 50, seen
+        assert seen["empty seed"] and seen["past the longest"], seen
+
 
 class UnreadPairs:
     """Stands in for pairs that a checker must not read."""
@@ -581,12 +615,14 @@ class TestScaling:
             check_condition2,
             LevelSystem.s_size,
             lambda ls: section_report(ls, 1),
+            check_acyclic,
         )
         start = time.perf_counter()
         results = [check(bare) for check in checks]
         elapsed = time.perf_counter() - start
         assert results == [check(full) for check in checks]
         assert results[0] == (True, ()) and results[1] == (True, ())
+        assert results[4] == (True, None)
         assert elapsed < 1.0
 
     def test_level_sixty_checkers_finish_quickly(self):
@@ -597,9 +633,11 @@ class TestScaling:
             check_condition2(ls),
             ls.s_size(),
             section_report(ls, 1),
+            check_acyclic(ls),
         )
         elapsed = time.perf_counter() - start
         assert results[0] == (True, ()) and results[1] == (True, ())
+        assert results[4] == (True, None)
         assert pair_count(60) <= results[2] <= 1 << 120
         assert results[3].codimension == 60 - results[3].max_passing_len
         assert elapsed < 1.0

@@ -94,7 +94,8 @@ class TestOneEnd:
         assert out.b_set.kind == "injective_part"
         for v in t.window(4).paths:
             assert out.b_set.contains(v)
-            assert not out.oracle.in_domain(v)
+            with pytest.raises(ValueError, match="outside the oracle domain"):
+                out.oracle.partner(v)
 
     def test_three_regular_is_total(self, battery):
         t = battery["three_regular"]
@@ -127,7 +128,8 @@ class TestTwoEnd:
         assert report.a_positions_sample == ()
         for v in t.window(4).paths:
             assert out.b_set.contains(v)
-            assert not out.oracle.in_domain(v)
+            with pytest.raises(ValueError, match="outside the oracle domain"):
+                out.oracle.partner(v)
 
     def test_odd_gap_comb_is_total(self, battery):
         t = battery["odd_comb"]
@@ -335,6 +337,22 @@ class TestVerifierFailures:
         with pytest.raises(InvariantViolationError):
             verify_ends_output(t, out, depth)
 
+    def test_exceptional_checks_walk_no_vertex_from_the_root(self, monkeypatch):
+        # On the bare line with two ends the whole window is exceptional.
+        # Its checks read states from the window, so the number of walks
+        # from the root must not grow with the depth.
+        t = BATTERY["line"]()
+        out = match_ends(t, parse_ends(["|0", "1|0"]), check_depth=1)
+        walks = []
+        state_of = AutomaticTree.state_of
+        monkeypatch.setattr(AutomaticTree, "state_of",
+                            lambda self, v: walks.append(v) or state_of(self, v))
+        for depth in (10, 300):
+            walks.clear()
+            window_size, b_vertices, _ = verify_ends_output(t, out, depth)
+            assert len(b_vertices) == window_size == 2 * depth + 1
+            assert len(walks) <= 4, depth
+
 
 def fresh_constructions(t, name):
     """(label, build) for every construction the battery tree supports. Each
@@ -459,7 +477,7 @@ class TestAnchorRule:
             for v in t.window(win.depth + 1).paths:
                 if v and is_anchor(v):
                     assert is_anchor(v[:-1]), (name, label, v)
-                if not oracle.in_domain(v):
+                if not oracle._in_domain(v):
                     assert is_anchor(v), (name, label, v)
 
     def test_deep_queries_off_the_line(self):
@@ -723,9 +741,11 @@ class TestTripodWords:
             for ray in rays:
                 for n in range(m_len + 1, m_len + 201):
                     v = ray.prefix(n)
-                    if not oracle.in_domain(v):
-                        continue  # the exceptional line
-                    p = oracle.partner(v)
+                    try:
+                        p = oracle.partner(v)
+                    except ValueError as exc:  # the exceptional line
+                        assert "outside the oracle domain" in str(exc), (reps, v)
+                        continue
                     upper, lower = sorted((v, p), key=len)
                     assert lower[:-1] == upper and t.is_valid_vertex(lower), (reps, v, p)
                     assert oracle.partner(p) == v, (reps, v)

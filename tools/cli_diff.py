@@ -7,7 +7,7 @@ Usage, from the root of a checkout:
 
 It exports the parent with tools/bench_json.py's `export` (`git archive`,
 so the repository's git metadata is left alone) and runs one fixed matrix
-of tree commands on both sides:
+of commands on both sides:
 
 - every battery tree at depths 0 to 10 with `match-rooted`,
   `derivative --tree`, `match-ends` for each `BATTERY_ENDS` group, and
@@ -18,7 +18,9 @@ of tree commands on both sides:
 - each of those `match-ends` runs once more with every end given by an
   equivalent, non-canonical descriptor: the period partly unrolled into the
   preperiod, and maybe doubled (`equivalent_descriptor` of
-  tests/conftest.py, seeded).
+  tests/conftest.py, seeded);
+- the pair-system dump `counterexample --levels` at every level from 0 to
+  10, the CLI's cap.
 
 Each side runs in one worker subprocess that imports treematch from that
 side's src/ and calls `treematch.cli.run` once per run, capturing stdout
@@ -47,6 +49,7 @@ from bench_json import ROOT, export, git
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conftest import equivalent_descriptor, random_machine, tree_text  # noqa: E402
+from treematch.cli import MAX_DUMP_LEVELS  # noqa: E402
 from treematch.presets import BATTERY, BATTERY_ENDS  # noqa: E402
 
 SWEEP_SEEDS = (("/",), ("/", "0/0/0"), ("1/0", "0/1/1", "1/1/1/1"))
@@ -104,6 +107,7 @@ def matrix(tree_dir: Path) -> list:
         path.write_text(tree_text(t))
         for depth in range(8):
             runs += tree_runs(path, depth, [[e.render() for e in ends]], rewrite)
+    runs += [["counterexample", "--levels", str(n)] for n in range(MAX_DUMP_LEVELS + 1)]
     return runs
 
 
