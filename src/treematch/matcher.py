@@ -15,30 +15,33 @@ m's own last, and for a matched line one eventually periodic word per ray,
 a preperiod and a cycle over the positions k >= 1 away from m. A code names
 a vertex's partner: the neighbour toward m (TOWARD), the one away from m
 (AWAY; at m the parent), or child i; at m, child i may be a ray's first
-vertex. On an exceptional line m's code is None, and the line's vertices
-are outside the domain and have no codes. The stem codes come from one
-walk up from m, and the ray words from one pass over the line's flags,
-from the deep end of the first ray through m to the deep end of the
-second; that pass also checks the budget. The words are the shortest that
-fit, so equivalent end descriptors compile to the same codes.
+vertex. A line without words is unmatched: m's code is None, and the
+line's vertices are outside the domain, have no codes and form the
+exceptional set. That is the two-end line with no odd pair, and the bare
+line, whose one-end matching leaves its spine through the root unmatched.
+The stem codes come from one walk up from m, and the ray words from one
+pass over the line's flags, from the deep end of the first ray through m
+to the deep end of the second; that pass also checks the budget. The
+words are the shortest that fit, so equivalent end descriptors compile to
+the same codes.
 
 The tripod's vertices are the anchors, prefix-closed by construction, and
 only there is the word read. Everywhere else the anchor rule is the
 definition: a vertex pairs with its parent if the parent pairs with it,
-and otherwise with its child 0; an anchor outside the domain (the
-exceptional line of a two-end matching) pairs with nobody.
-MatchingOracle.partner finds the deepest anchor above a query by bisection
-and carries the rule down from it, and a window pass
-(MatchingOracle.restricted_pairs) applies it top-down; neither keeps any
-state between calls. The rule is each construction's component matching
-off the tripod. In a component, a vertex pairs with its neighbour toward
-the component root if that neighbour pairs with it, and otherwise with its
-first kept neighbour, children first. Off the tripod this reduces to the
-anchor rule. The neighbour toward the component root is the tree parent,
-since a component root and the vertices between it and the tree root lie
-on the tripod. No component cuts an edge below a vertex off the tripod: the
-cuts are at or next to line vertices. So a vertex off the tripod keeps its
-child 0.
+and otherwise with its child 0; an anchor outside the domain (a vertex of
+an unmatched line) pairs with nobody. A MatchingOracle reads one tripod:
+its domain, its anchors and their codes. MatchingOracle.partner finds the
+deepest anchor above a query by bisection and carries the rule down from
+it, and a window pass (MatchingOracle.restricted_pairs) applies it
+top-down; neither keeps any state between calls. The rule is each
+construction's component matching off the tripod. In a component, a vertex
+pairs with its neighbour toward the component root if that neighbour pairs
+with it, and otherwise with its first kept neighbour, children first. Off
+the tripod this reduces to the anchor rule. The neighbour toward the
+component root is the tree parent, since a component root and the vertices
+between it and the tree root lie on the tripod. No component cuts an edge
+below a vertex off the tripod: the cuts are at or next to line vertices.
+So a vertex off the tripod keeps its child 0.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError
 from .graph_core import (
@@ -56,7 +59,6 @@ from .graph_core import (
     TreeVertex,
     Window,
     divergence_length,
-    ends_equivalent,
     has_bad_ray,
     render_path,
     validate_end,
@@ -84,50 +86,40 @@ class WindowPairs(list):
 
 
 class MatchingOracle:
-    """Pointwise access to a matching: a domain predicate plus a partner
-    function. It keeps no state between queries.
+    """Pointwise access to a matching compiled to a tripod (module
+    docstring). It keeps no state between queries.
 
-    is_anchor(v), when given, tells whether partner_fn is asked about v: it
-    holds at the root, at the parent of every vertex where it holds and at
-    every vertex outside the domain. For a construction it is the tripod
-    test, a prefix of m or a vertex of the line through m, and partner_fn
-    reads the tripod word. Every other vertex follows the anchor rule
-    (module docstring). Without is_anchor every vertex is an anchor."""
+    The tripod answers three questions: in_domain(v), is_anchor(v) and, for
+    an anchor in the domain, partner(v). The anchors are the prefixes of m
+    and the vertices of the tripod's line, if it has one, so they hold the
+    root, the parent of every anchor and every vertex outside the domain.
+    Every other vertex follows the anchor rule (module docstring)."""
 
-    def __init__(
-        self,
-        tree: AutomaticTree,
-        in_domain: Callable,
-        partner_fn: Callable,
-        description: str = "",
-        is_anchor: Callable | None = None,
-    ):
+    def __init__(self, tree: AutomaticTree, tripod: "_Tripod", description: str):
         self.tree = tree
-        self._in_domain = in_domain
-        self._partner_fn = partner_fn
+        self.tripod = tripod
         self.description = description
-        self._is_anchor = is_anchor
 
     def partner(self, v: TreeVertex) -> TreeVertex:
         if not self.tree.is_valid_vertex(v):
             raise ValueError(f"invalid vertex {render_path(v)}")
-        if not self._in_domain(v):
+        tripod = self.tripod
+        if not tripod.in_domain(v):
             raise ValueError(f"vertex {render_path(v)} is outside the oracle domain")
-        is_anchor = self._is_anchor
-        if is_anchor is None or is_anchor(v):
-            return self._partner_fn(v)
+        if tripod.is_anchor(v):
+            return tripod.partner(v)
         # The anchors are prefix-closed and hold the root: bisect for the
         # deepest one above v, then carry the anchor rule down the rest of v,
         # with up telling whether the prefix reached pairs with its parent.
         lo, hi = 0, len(v)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if is_anchor(v[:mid]):
+            if tripod.is_anchor(v[:mid]):
                 lo = mid
             else:
                 hi = mid
         x = v[:lo]
-        up = self._in_domain(x) and self._partner_fn(x) == v[: lo + 1]
+        up = tripod.in_domain(x) and tripod.partner(x) == v[: lo + 1]
         for i in v[lo + 1 :]:
             up = not up and i == 0
         return v[:-1] if up else v + (0,)
@@ -135,8 +127,7 @@ class MatchingOracle:
     def restricted_pairs(self, win: Window) -> WindowPairs:
         """The matching seen from the window, in one top-down pass.
 
-        The anchors are asked pointwise, in window order (for an oracle
-        without is_anchor every window vertex is an anchor). They are
+        The anchors are asked pointwise, in window order. They are
         prefix-closed, so a vertex is tested only when its parent is an
         anchor. An anchor outside the domain is left out: it pairs with
         nobody and its window index goes to skipped. Every other vertex lies
@@ -156,7 +147,7 @@ class MatchingOracle:
         n = len(paths)
         out = WindowPairs(win)
         pairs, uppers, skipped, beyond = out, out.uppers, out.skipped, out.beyond
-        is_anchor = self._is_anchor or (lambda v: True)
+        in_domain, is_anchor = self.tripod.in_domain, self.tripod.is_anchor
         anchored = {0}
         choice = [None] * n  # PARENT, a child index, or None for a left-out vertex
         boundary = win.boundary_start
@@ -165,7 +156,7 @@ class MatchingOracle:
             """Anchor c's partner as PARENT or a child index, or None when c
             is outside the domain."""
             v = paths[c]
-            if not self._in_domain(v):
+            if not in_domain(v):
                 skipped.append(c)
                 return None
             out.pointwise += 1
@@ -282,13 +273,17 @@ class _Word:
 class _Tripod:
     """A construction compiled to its tripod (module docstring): m, the
     codes of m's prefixes with m's own last, and for a matched line one word
-    per ray, the first ray's at index 0. The vertices of an exceptional line
-    are anchors outside the domain and have no codes."""
+    per ray, the first ray's at index 0. A line without words is unmatched:
+    its vertices are anchors outside the domain and have no codes, and it is
+    the construction's exceptional set."""
 
     m: TreeVertex
     stem: tuple
     line: "_Line | None" = None
     words: tuple = ()
+
+    def in_domain(self, v: TreeVertex) -> bool:
+        return self.line is None or bool(self.words) or self.line.position_of(v) is None
 
     def is_anchor(self, v: TreeVertex) -> bool:
         n = len(v)
@@ -336,44 +331,20 @@ def rooted_matching(t: AutomaticTree) -> MatchingOracle:
     for q in t.states:
         if t.branch_of(q) < 1:
             raise ValueError(f"state {q!r} has no children")
-    tripod = _Tripod(ROOT, _stem(t, ROOT, 0))
-    return MatchingOracle(t, lambda v: True, tripod.partner, "rooted", tripod.is_anchor)
-
-
-@dataclass(frozen=True)
-class LineReport:
-    """The doubly infinite line spanned by two inequivalent ends, with the
-    positions of its degree->=3 vertices summarized periodically."""
-
-    m: TreeVertex
-    m_len: int
-    e1: EndDescriptor
-    e2: EndDescriptor
-    odd_pair: bool
-    a_parities: frozenset
-    a_positions_sample: tuple
-    side_summaries: tuple  # ((preperiod, period, infinitely_many_a), ...) per side
-
-    def contains(self, v: TreeVertex) -> bool:
-        if len(v) < self.m_len:
-            return False
-        return v == self.e1.prefix(len(v)) or v == self.e2.prefix(len(v))
+    return MatchingOracle(t, _Tripod(ROOT, _stem(t, ROOT, 0)), "rooted")
 
 
 @dataclass(frozen=True)
 class BSet:
-    """The exceptional set of an end-based construction: empty, the whole
-    component (when the toward-end map is injective), or a line."""
+    """The exceptional set of an end-based construction: empty, or the
+    unmatched line of its tripod. On a bare line (the toward-end map is
+    injective) that line is the whole component."""
 
     kind: str  # "empty" | "injective_part" | "line"
-    line: LineReport | None = None
+    line: "_Line | None" = None
 
     def contains(self, v: TreeVertex) -> bool:
-        if self.kind == "empty":
-            return False
-        if self.kind == "injective_part":
-            return True
-        return self.line.contains(v)
+        return self.line is not None and self.line.position_of(v) is not None
 
 
 @dataclass
@@ -381,7 +352,6 @@ class EndsOutput:
     b_set: BSet
     oracle: MatchingOracle
     n_ends: int
-    note: str = ""
     # What match_ends verified: the window size, B's window vertices in
     # shortlex order, and the WindowPairs seen from the rest of the window.
     window_size: int = 0
@@ -479,27 +449,6 @@ class _Line:
         if pos > 0:
             return self.side2.flag(pos)
         return self.side1.flag(-pos)
-
-    def report(self) -> LineReport:
-        sample = []
-        lo = self.side1.pre + 2 * self.side1.period + 2
-        hi = self.side2.pre + 2 * self.side2.period + 2
-        for pos in range(-lo, hi + 1):
-            if self.a_at(pos):
-                sample.append(pos)
-        return LineReport(
-            m=self.m,
-            m_len=self.m_len,
-            e1=self.e1,
-            e2=self.e2,
-            odd_pair=self.odd_pair,
-            a_parities=self.a_parities,
-            a_positions_sample=tuple(sample),
-            side_summaries=(
-                (self.side1.pre, self.side1.period, self.side1.cycle_any),
-                (self.side2.pre, self.side2.period, self.side2.cycle_any),
-            ),
-        )
 
 
 def _line_tripod(line: _Line, budget: int, spine: bool) -> _Tripod:
@@ -623,30 +572,28 @@ def one_end_matching(t: AutomaticTree, e: EndDescriptor, budget: int = 100_000) 
     """Matching toward a single end.
 
     If the toward-end map is injective (the component is a bare line) the
-    whole component is exceptional and the matching is empty. Otherwise the
-    spine through the root is cut into gaps between its branching vertices;
-    gap interiors pair along the spine and everything else is closed off in
-    hanging components. When branching vertices are not cofinal in both spine
-    directions the whole tree is matched away from the root instead.
+    spine is the whole component: it is left unmatched and is the
+    exceptional set. Otherwise the spine through the root is cut into gaps
+    between its branching vertices; gap interiors pair along the spine and
+    everything else is closed off in hanging components. When branching
+    vertices are not cofinal in both spine directions the whole tree is
+    matched away from the root instead.
     """
     _require_min_degree_two(t)
     if not validate_end(t, e):
         raise ValueError(f"invalid end descriptor {e.render()}")
-    if _is_bare_line(t):
-        oracle = MatchingOracle(t, lambda v: False, lambda v: None, "one-end injective")
-        return EndsOutput(BSet("injective_part"), oracle, 1)
     # The spine is the leftmost descent (c)|0 from the lowest root child c
     # off the end, then the end itself, so the root sits at position 0.
     spine = _Line(t, EndDescriptor((1 if e.index(0) == 0 else 0,), (0,)), e)
+    if _is_bare_line(t):
+        tripod = _Tripod(ROOT, _stem(t, ROOT, None), spine)
+        oracle = MatchingOracle(t, tripod, "one-end injective")
+        return EndsOutput(BSet("injective_part", spine), oracle, 1)
     if not (spine.side1.cycle_any and spine.side2.cycle_any):
         tripod = _Tripod(ROOT, _stem(t, ROOT, 0))
-        oracle = MatchingOracle(
-            t, lambda v: True, tripod.partner, "one-end rooted fallback", tripod.is_anchor
-        )
-        return EndsOutput(BSet("empty"), oracle, 1, note="branching not cofinal along the spine")
+        return EndsOutput(BSet("empty"), MatchingOracle(t, tripod, "one-end rooted fallback"), 1)
     tripod = _line_tripod(spine, budget, spine=True)
-    oracle = MatchingOracle(t, lambda v: True, tripod.partner, "one-end", tripod.is_anchor)
-    return EndsOutput(BSet("empty"), oracle, 1)
+    return EndsOutput(BSet("empty"), MatchingOracle(t, tripod, "one-end"), 1)
 
 
 def two_end_matching(
@@ -668,14 +615,9 @@ def two_end_matching(
     line = _Line(t, e1, e2)
     if line.odd_pair:
         tripod = _line_tripod(line, budget, spine=False)
-        oracle = MatchingOracle(t, lambda v: True, tripod.partner, "two-end full", tripod.is_anchor)
-        return EndsOutput(BSet("empty"), oracle, 2)
+        return EndsOutput(BSet("empty"), MatchingOracle(t, tripod, "two-end full"), 2)
     tripod = _Tripod(line.m, _stem(t, line.m, None), line)
-    oracle = MatchingOracle(
-        t, lambda v: line.position_of(v) is None, tripod.partner, "two-end off-line",
-        tripod.is_anchor,
-    )
-    return EndsOutput(BSet("line", line.report()), oracle, 2)
+    return EndsOutput(BSet("line", line), MatchingOracle(t, tripod, "two-end off-line"), 2)
 
 
 def many_end_matching(t: AutomaticTree, ends: Sequence) -> EndsOutput:
@@ -689,7 +631,7 @@ def many_end_matching(t: AutomaticTree, ends: Sequence) -> EndsOutput:
         if not validate_end(t, e):
             raise ValueError(f"invalid end descriptor {e.render()}")
     for a, b in itertools.combinations(ends, 2):
-        if ends_equivalent(t, a, b):
+        if divergence_length(a, b) is None:
             raise ValueError("ends are not pairwise inequivalent")
     e1, e2, e3 = ends[0], ends[1], ends[2]
     div = [
@@ -705,8 +647,7 @@ def many_end_matching(t: AutomaticTree, ends: Sequence) -> EndsOutput:
     if median is None:
         median = sorted(div, key=len)[1]
     tripod = _Tripod(median, _stem(t, median, 0))
-    oracle = MatchingOracle(t, lambda v: True, tripod.partner, "many-end", tripod.is_anchor)
-    return EndsOutput(BSet("empty"), oracle, len(ends))
+    return EndsOutput(BSet("empty"), MatchingOracle(t, tripod, "many-end"), len(ends))
 
 
 def _canonical_end_order(t: AutomaticTree, ends: list) -> list:
@@ -738,7 +679,7 @@ def match_ends(
             raise ValueError(f"invalid end descriptor {e.render()}")
     reps: list = []
     for e in ends:
-        if not any(ends_equivalent(t, e, r) for r in reps):
+        if all(divergence_length(e, r) is not None for r in reps):
             reps.append(e)
     reps = _canonical_end_order(t, reps)
     if len(reps) == 1:

@@ -14,6 +14,7 @@ from treematch import (
     has_bad_ray,
     shortlex,
 )
+from treematch import graph_core, matcher
 from treematch.errors import BudgetExceededError, InvariantViolationError
 from treematch.graph_core import divergence_length
 from treematch.matcher import (
@@ -123,9 +124,9 @@ class TestTwoEnd:
         t = battery["line"]
         out = two_end_matching(t, *parse_ends(["|0", "1|0"]))
         assert out.b_set.kind == "line"
-        report = out.b_set.line
-        assert not report.odd_pair
-        assert report.a_positions_sample == ()
+        line = out.b_set.line
+        assert not line.odd_pair
+        assert not any(line.a_at(pos) for pos in range(-20, 21))
         for v in t.window(4).paths:
             assert out.b_set.contains(v)
             with pytest.raises(ValueError, match="outside the oracle domain"):
@@ -141,9 +142,9 @@ class TestTwoEnd:
         t = battery["even_comb"]
         out = two_end_matching(t, *parse_ends(["|0", "1|0"]))
         assert out.b_set.kind == "line"
-        report = out.b_set.line
-        assert not report.odd_pair
-        assert len(report.a_parities) == 1
+        line = out.b_set.line
+        assert not line.odd_pair
+        assert len(line.a_parities) == 1
         on_line = out.b_set.contains
         t_checked = check_window_matching(t, out.oracle, 8, excluded=on_line)
         off_line = [v for v in t.window(8).paths if not on_line(v)]
@@ -233,6 +234,42 @@ class TestMatchEnds:
         with pytest.raises(ValueError):
             match_ends(battery["binary"], parse_ends(["|2"]))
 
+    def test_each_end_is_walked_once_per_call(self, battery, monkeypatch):
+        # match_ends validates every descriptor and the construction it
+        # dispatches to validates its representatives; comparing ends after
+        # that walks no descriptor again.
+        calls = []
+
+        def counting(t, e, validate=graph_core.validate_end):
+            calls.append(e)
+            return validate(t, e)
+
+        monkeypatch.setattr(graph_core, "validate_end", counting)
+        monkeypatch.setattr(matcher, "validate_end", counting)
+        t = battery["binary"]
+        for texts, expected in ((["|0"], 2), (["|0", "|1"], 4), (["|0", "|1", "0|1"], 6),
+                                (["|0", "0|0", "|1"], 5)):
+            calls.clear()
+            match_ends(t, parse_ends(texts), check_depth=2)
+            assert len(calls) == expected, texts
+        calls.clear()
+        with pytest.raises(ValueError, match="ends are not pairwise inequivalent"):
+            many_end_matching(t, parse_ends(["|0", "|1", "0|0"]))
+        assert len(calls) == 3
+        with pytest.raises(ValueError, match=r"invalid end descriptor \|2"):
+            match_ends(t, parse_ends(["|0", "|2"]))
+
+
+class _StandInTripod:
+    """A stand-in for a compiled tripod, for oracles built by hand: a domain
+    predicate, a partner function and an anchor test, by default true at
+    every vertex."""
+
+    def __init__(self, in_domain, partner, is_anchor=lambda v: True):
+        self.in_domain = in_domain
+        self.partner = partner
+        self.is_anchor = is_anchor
+
 
 class _PredicateB:
     """A stand-in exceptional set given by a predicate."""
@@ -255,7 +292,8 @@ def _broken_outputs():
 
     def fabricated(t, b_set, partner, in_domain=None):
         domain = in_domain or (lambda v: not b_set.contains(v))
-        return EndsOutput(b_set, MatchingOracle(t, domain, partner, "fabricated"), 1)
+        oracle = MatchingOracle(t, _StandInTripod(domain, partner), "fabricated")
+        return EndsOutput(b_set, oracle, 1)
 
     def overriding(base, table):
         return lambda v: table[v] if v in table else base(v)
@@ -412,29 +450,34 @@ class TestMemoizedPartners:
         # finds (0,) pairing with the left-out root.
         for name, t in battery.items():
             o = rooted_matching(t)
-            rootless = MatchingOracle(t, lambda v: v != ROOT, o._partner_fn, "rootless",
-                                      o._is_anchor)
+            rootless = MatchingOracle(
+                t, _StandInTripod(lambda v: v != ROOT, o.tripod.partner, o.tripod.is_anchor),
+                "rootless")
             win = t.window(4)
             pairs = rootless.restricted_pairs(win)
             assert pairs.skipped == [0], name
             assert list(pairs) == pointwise_sweep(rootless, win, [ROOT])[1], name
-            everywhere = MatchingOracle(t, lambda v: v != ROOT, o.partner, "asked everywhere")
+            everywhere = MatchingOracle(t, _StandInTripod(lambda v: v != ROOT, o.partner),
+                                        "asked everywhere")
             with pytest.raises(ValueError, match="meets a vertex outside the domain"):
                 everywhere.restricted_pairs(win)
 
     def test_render_pass_rejects_a_non_involution(self):
         t = BATTERY["binary"]()
-        down = MatchingOracle(t, lambda v: True, lambda v: v + (0,), "always down")
+        down = MatchingOracle(t, _StandInTripod(lambda v: True, lambda v: v + (0,)),
+                              "always down")
         with pytest.raises(ValueError, match="matched twice"):
             down.restricted_pairs(t.window(3))
-        up = MatchingOracle(t, lambda v: True, lambda v: v[:-1] if v else (0,), "up")
+        up = MatchingOracle(t, _StandInTripod(lambda v: True, lambda v: v[:-1] if v else (0,)),
+                            "up")
         with pytest.raises(ValueError, match="matched twice"):
             up.restricted_pairs(t.window(1))
 
     def test_render_pass_rejects_a_non_edge(self):
         t = BATTERY["binary"]()
         swap = {(0,): (1,), (1,): (0,)}
-        siblings = MatchingOracle(t, lambda v: v != ROOT, swap.__getitem__, "siblings")
+        siblings = MatchingOracle(t, _StandInTripod(lambda v: v != ROOT, swap.__getitem__),
+                                  "siblings")
         with pytest.raises(ValueError, match="not a tree edge"):
             siblings.restricted_pairs(t.window(1))
 
@@ -457,19 +500,17 @@ class TestAnchorRule:
         win = t.window(8)
         for label, build in fresh_constructions(t, name):
             oracle, in_b = build()
+            tripod = oracle.tripod
+            is_anchor = tripod.is_anchor
             asked = []
 
-            def recording(v, partner_fn=oracle._partner_fn, asked=asked):
+            def recording(v, partner=tripod.partner, asked=asked):
                 asked.append(v)
-                return partner_fn(v)
+                return partner(v)
 
-            oracle._partner_fn = recording
+            oracle.tripod = _StandInTripod(tripod.in_domain, recording, is_anchor)
             b_vertices = [v for v in win.paths if in_b(v)]
             assert pointwise_sweep(oracle, win, b_vertices)[0] == "pairs", (name, label)
-            is_anchor = oracle._is_anchor
-            if is_anchor is None:  # the bare line's empty matching
-                assert not asked and len(b_vertices) == len(win.paths), (name, label)
-                continue
             assert all(map(is_anchor, asked)), (name, label)
             # restricted_pairs relies on this: the anchors are prefix-closed
             # and hold the root and every vertex outside the domain.
@@ -477,7 +518,7 @@ class TestAnchorRule:
             for v in t.window(win.depth + 1).paths:
                 if v and is_anchor(v):
                     assert is_anchor(v[:-1]), (name, label, v)
-                if not oracle._in_domain(v):
+                if not tripod.in_domain(v):
                     assert is_anchor(v), (name, label, v)
 
     def test_deep_queries_off_the_line(self):
@@ -717,9 +758,9 @@ def line_cases(battery):
 
 def compiled(oracle):
     """The tripod an end construction compiled to, as (m, stem codes, ray
-    words); None for the bare line's empty matching."""
-    tripod = getattr(oracle._partner_fn, "__self__", None)
-    return tripod and (tripod.m, tripod.stem, tripod.words)
+    words)."""
+    tripod = oracle.tripod
+    return tripod.m, tripod.stem, tripod.words
 
 
 class TestTripodWords:

@@ -10,11 +10,15 @@ For each workload in BENCHMARK.json it runs
 in an exported copy of the parent (`git archive`, so the repository's git
 metadata is left alone) and in this checkout, as PAIRS back-to-back
 parent/change pairs. The side that runs first alternates from pair to pair
-and from workload to workload. `run_seconds` is BENCHMARK.json's. The last
-stdout line of every run goes into BENCH_<pr>.json, with each side's median
-and quartiles per metric and the host facts. The checkout side is the
-working tree as it stands, which is the change once committed. Standard
-library only, plus the git command line.
+and from workload to workload. Eleven pairs are enough to ask whether the
+change wins at least nine of ten pairs and whether its median lies
+outside the parent's quartiles; three could not separate a 25% change
+from the run-to-run spread of `tree-windows`. `run_seconds` is
+BENCHMARK.json's. The last stdout line of every run goes into
+BENCH_<pr>.json, with each side's median and quartiles per metric and the
+host facts. The checkout side is the working tree as it stands, which is
+the change once committed. Standard library only, plus the git command
+line.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 41  # the seed of every BENCH_<pr>.json
-PAIRS = 3  # parent/change pairs per workload; odd, so a median is one run
+PAIRS = 11  # parent/change pairs per workload: at least ten, and odd, so a median is one run
 
 
 def git(*args: str) -> bytes:
