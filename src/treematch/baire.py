@@ -211,9 +211,10 @@ def _verify_remainder(
     max_path: int = 12,
 ) -> RemainderReport:
     win = t.window(check_depth)
+    paths = tuple(win.paths)
     degree_violations = [
         v
-        for v, q in zip(win.paths, win.states)
+        for v, q in zip(paths, win.states)
         if v not in removed_all and _complement_degree(t, v, removed_all, q) < 2
     ]
     # A witness is the first bad path from a frontier vertex of S, searched
@@ -237,7 +238,7 @@ def _verify_remainder(
         degree_violations=tuple(degree_violations),
         crossing_witnesses=tuple(crossing),
         checked_pairs=len(kept),
-        window_size=len(win.paths),
+        window_size=len(paths),
     )
 
 

@@ -153,9 +153,9 @@ def _pair_lines(pairs) -> list:
     """The output lines of a window pass's pairs, each (upper end, its child
     i) rendered from the window's names as "m <upper> <upper>/i"."""
     names = pairs.window.names
-    lines = [f"m {names[j]} {names[j]}/{b[-1]}" for j, (_, b) in zip(pairs.uppers, pairs)]
+    lines = [f"m {names[j]} {names[j]}/{i}" for j, i in zip(pairs.uppers, pairs.children)]
     if pairs.uppers and pairs.uppers[0] == 0:
-        lines[0] = f"m / {pairs[0][1][0]}"  # the root's child is not named //i
+        lines[0] = f"m / {pairs.children[0]}"  # the root's child is not named //i
     return lines
 
 

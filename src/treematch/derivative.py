@@ -113,11 +113,12 @@ def derive_window(win: Window, max_rounds: int | None = None):
         raise ValueError("window derivative needs depth >= 2")
     # Window indices follow shortlex order: a vertex's parent comes before
     # it and its children, next to each other from child_start, after it.
-    first, boundary, n = win.child_start, win.boundary_start, len(win.paths)
+    first, boundary, n = win.child_start, win.boundary_start, len(win.states)
     nbrs = [[] for _ in range(n)]
     for v in range(boundary):
         for w in range(first[v], first[v + 1]):
             nbrs[v].append(w)
             nbrs[w].append(v)
     outside = [0] * boundary + [first[v + 1] - first[v] for v in range(boundary, n)]
-    return _run(win.paths, nbrs, outside, max_rounds)
+    # One tuple: _run names a vertex by indexing it, and a tuple does that in C.
+    return _run(tuple(win.paths), nbrs, outside, max_rounds)

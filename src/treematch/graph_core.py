@@ -8,9 +8,9 @@ are tuples of child indices; the root is the empty tuple.
 
 from __future__ import annotations
 
-import bisect
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -23,8 +23,9 @@ ROOT: TreeVertex = ()
 # a graph file's vertex count at parse time: a vertex with more children
 # than this fits in no window, and every command builds a graph's vertices.
 MAX_WINDOW_VERTICES = 200_000
-# Largest sum of |v| over a window's vertices: each path is its own tuple, so
-# on a thin tree memory grows with the square of the depth.
+# Largest sum of |v| over a window's vertices. A window stores states, not
+# paths, but its rendered names and a command's output grow with this sum:
+# on a thin tree, with the square of the depth.
 MAX_WINDOW_PATH_LENGTH = 4_000_000
 
 
@@ -293,7 +294,9 @@ class AutomaticTree:
     def window(self, depth: int) -> "Window":
         """All vertices of path length <= depth, in shortlex order. Its size
         is first counted level by level by state, so a window over either
-        cap raises BudgetExceededError before any path is built."""
+        cap raises BudgetExceededError before anything is built; then the
+        states are filled in level by level, each level from its parents'
+        rows."""
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         level, vertices, total, levels = {self.root_state: 1}, 0, 0, 0
@@ -311,38 +314,77 @@ class AutomaticTree:
                 for r in self._child_states[q]:
                     below[r] = below.get(r, 0) + k
             level, levels = below, levels + 1
-        paths = [ROOT]
-        states = [self.root_state]
+        rows, states = self._child_states, [self.root_state]
         level_start = 0
         for _ in range(levels - 1):
-            level_end = len(paths)
-            for pos in range(level_start, level_end):
-                v = paths[pos]
-                for i, r in enumerate(self._child_states[states[pos]]):
-                    paths.append(v + (i,))
-                    states.append(r)
-            level_start = level_end
-        return Window(tree=self, depth=depth, paths=tuple(paths), states=tuple(states))
+            parents = states[level_start:]
+            level_start = len(states)
+            states.extend(itertools.chain.from_iterable(map(rows.__getitem__, parents)))
+        # The last level is at path length depth, unless the tree ends above
+        # it: then no vertex is.
+        boundary_start = level_start if levels > depth else len(states)
+        return Window(tree=self, depth=depth, states=tuple(states), boundary_start=boundary_start)
+
+
+class WindowPaths(Sequence):
+    """A window's vertex paths, at their window indices: a read-only tuple,
+    built top-down on the first read of a path (a child's path is its
+    parent's plus (i,)). Its length is the window's and builds nothing. It
+    holds the tree, the states and boundary_start, not the window, so a
+    window and its paths are freed by reference counting."""
+
+    __slots__ = ("_tree", "_states", "_boundary_start", "_paths", "__weakref__")
+
+    def __init__(self, tree: AutomaticTree, states: tuple, boundary_start: int):
+        self._tree, self._states, self._boundary_start = tree, states, boundary_start
+        self._paths = None
+
+    def _built(self) -> tuple:
+        if self._paths is None:
+            tree, states = self._tree, self._states
+            suffixes = {q: [(i,) for i in range(tree.branch_of(q))] for q in tree.states}
+            paths = [ROOT]
+            extend = paths.extend
+            for j in range(self._boundary_start):
+                extend(map(paths[j].__add__, suffixes[states[j]]))
+            self._paths = tuple(paths)
+        return self._paths
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __getitem__(self, j):
+        return self._built()[j]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        return self._built() == (tuple(other) if isinstance(other, WindowPaths) else other)
+
+    def __repr__(self) -> str:
+        return f"WindowPaths({self._built()!r})"
 
 
 @dataclass(eq=False)
 class Window:
     """A finite view of an AutomaticTree: the vertices of path length at most
-    depth in shortlex order, and each vertex's machine state at the same
-    position. Shortlex order lists a level's vertices by parent, in the
-    parents' order, so the children of each vertex above the boundary level
-    sit next to each other in index order."""
+    depth in shortlex order, each named by its window index. Shortlex order
+    lists a level's vertices by parent, in the parents' order, so the
+    children of each vertex above the boundary level sit next to each other
+    in index order, from child_start. The window stores each vertex's machine
+    state and boundary_start, the index of the first vertex at path length
+    depth: the vertices from there on have their children beyond the window.
+    paths is a WindowPaths view, whose tuples are built only when read."""
 
     tree: AutomaticTree
     depth: int
-    paths: tuple
     states: tuple
+    boundary_start: int
+    paths: WindowPaths = field(init=False, repr=False)
 
-    @cached_property
-    def boundary_start(self) -> int:
-        """Index of the first vertex at path length depth: the vertices from
-        here on have their children beyond the window."""
-        return bisect.bisect_left(self.paths, self.depth, key=len)
+    def __post_init__(self):
+        self.paths = WindowPaths(self.tree, self.states, self.boundary_start)
 
     @cached_property
     def child_start(self) -> list:

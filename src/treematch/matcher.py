@@ -68,21 +68,35 @@ from .graph_core import (
 PARENT = -1  # a window pass's code for "pairs with its parent"; i >= 0 is child i
 
 
-class WindowPairs(list):
-    """The pairs a window pass saw, as (upper, lower) tree edges in window
-    order of their upper ends, with what they are rendered and checked from:
-    the window, each upper end's window index, the window indices of the
-    left-out vertices (the anchors outside the domain), the positions of the
-    pairs whose lower end lies beyond the window and was asked pointwise,
-    and the number of pointwise partner queries made."""
+class WindowPairs(Sequence):
+    """The pairs a window pass saw, in window order of their upper ends, as
+    window indices: uppers holds each upper end's window index and children
+    the lower end's child index under it. As a sequence it reads each pair
+    as an (upper, lower) tree edge, built from the window's paths on demand.
+    It also holds the window indices of the left-out vertices (the anchors
+    outside the domain), the pairs whose lower end lies beyond the window
+    and was asked pointwise, as (upper, lower) paths, and the number of
+    pointwise partner queries made."""
 
     def __init__(self, window: Window):
-        super().__init__()
         self.window = window
         self.uppers: list = []
+        self.children: list = []
         self.skipped: list = []
         self.beyond: list = []
         self.pointwise = 0
+
+    def __len__(self) -> int:
+        return len(self.uppers)
+
+    def __getitem__(self, pos: int) -> tuple:
+        v = self.window.paths[self.uppers[pos]]
+        return (v, v + (self.children[pos],))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (list, WindowPairs)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 class MatchingOracle:
@@ -125,15 +139,18 @@ class MatchingOracle:
         return v[:-1] if up else v + (0,)
 
     def restricted_pairs(self, win: Window) -> WindowPairs:
-        """The matching seen from the window, in one top-down pass.
+        """The matching seen from the window, in one top-down pass over
+        window indices.
 
         The anchors are asked pointwise, in window order. They are
         prefix-closed, so a vertex is tested only when its parent is an
-        anchor. An anchor outside the domain is left out: it pairs with
-        nobody and its window index goes to skipped. Every other vertex lies
-        in the domain and follows the anchor rule, as partner does: it pairs
-        with its parent if the parent pairs with it, and otherwise with its
-        child 0.
+        anchor, and only there is a path built: the parent's path plus (i,).
+        An anchor's path is dropped once its children are visited; those at
+        the boundary level are kept for the check below. An anchor outside
+        the domain is left out: it pairs with nobody and its window index
+        goes to skipped. Every other vertex lies in the domain and follows
+        the anchor rule, as partner does: it pairs with its parent if the
+        parent pairs with it, and otherwise with its child 0.
 
         By window index the pass checks that each partner is a tree
         neighbour, that the involution holds inside the window and that no
@@ -141,21 +158,20 @@ class MatchingOracle:
         level beyond the window that was asked pointwise is asked back after
         the pass and must point back.
         """
-        paths, states, first = win.paths, win.states, win.child_start
+        states, first = win.states, win.child_start
         tree = win.tree
         branch = {q: tree.branch_of(q) for q in tree.states}
-        n = len(paths)
+        n = len(states)
         out = WindowPairs(win)
-        pairs, uppers, skipped, beyond = out, out.uppers, out.skipped, out.beyond
+        uppers, children, skipped, beyond = out.uppers, out.children, out.skipped, out.beyond
         in_domain, is_anchor = self.tripod.in_domain, self.tripod.is_anchor
-        anchored = {0}
+        anchors = {0: ROOT}  # window index -> path, of the anchors whose children are unvisited
         choice = [None] * n  # PARENT, a child index, or None for a left-out vertex
         boundary = win.boundary_start
 
-        def ask(c: int) -> int | None:
+        def ask(c: int, v: TreeVertex) -> int | None:
             """Anchor c's partner as PARENT or a child index, or None when c
             is outside the domain."""
-            v = paths[c]
             if not in_domain(v):
                 skipped.append(c)
                 return None
@@ -172,56 +188,56 @@ class MatchingOracle:
                 raise ValueError(f"loop pair {v!r}")
             raise ValueError(f"pair {render_path(v)} {render_path(p)} is not a tree edge")
 
-        choice[0] = ask(0)
+        def childless(j: int) -> InvariantViolationError:
+            return InvariantViolationError(
+                f"vertex {render_path(win.paths[j])} has no child to pair with"
+            )
+
+        choice[0] = ask(0, ROOT)
         zeros = [0] * max(branch.values(), default=0)
         for j in range(boundary):
             up = choice[j]
             k = branch[states[j]]
+            v = anchors.pop(j, None)
             if not k:
                 if up == 0:
-                    raise InvariantViolationError(
-                        f"vertex {render_path(paths[j])} has no child to pair with"
-                    )
+                    raise childless(j)
                 continue
-            v = paths[j]
             start = first[j]
             if up is not None and up >= 0:
-                pairs.append((v, paths[start + up]))
                 uppers.append(j)
+                children.append(up)
             end = start + k
-            if j not in anchored:
+            if v is None:
                 choice[start:end] = zeros[:k]
                 if up == 0:
                     choice[start] = PARENT
                 continue
             for c in range(start, end):
                 i = c - start
-                if not is_anchor(paths[c]):
+                w = v + (i,)
+                if not is_anchor(w):
                     choice[c] = PARENT if up == i else 0
                     continue
-                anchored.add(c)
-                code = choice[c] = ask(c)
+                anchors[c] = w
+                code = choice[c] = ask(c, w)
                 if code == PARENT and up != i or up == i and code != PARENT:
                     if up is None or code is None:
                         raise ValueError(
-                            f"pair {render_path(v)} {render_path(paths[c])} "
+                            f"pair {render_path(v)} {render_path(w)} "
                             "meets a vertex outside the domain"
                         )
-                    raise ValueError(f"vertex {(v if code == PARENT else paths[c])!r} matched twice")
+                    raise ValueError(f"vertex {(v if code == PARENT else w)!r} matched twice")
         for j in range(boundary, n):
             up = choice[j]
             if up is not None and up >= 0:
                 if not branch[states[j]]:
-                    raise InvariantViolationError(
-                        f"vertex {render_path(paths[j])} has no child to pair with"
-                    )
-                v = paths[j]
-                pairs.append((v, v + (up,)))
+                    raise childless(j)
                 uppers.append(j)
-                if j in anchored:
-                    beyond.append(len(pairs) - 1)
-        for pos in beyond:
-            a, b = pairs[pos]
+                children.append(up)
+                if j in anchors:
+                    beyond.append((anchors[j], anchors[j] + (up,)))
+        for a, b in beyond:
             out.pointwise += 1
             if self.partner(b) != a:
                 raise ValueError(f"partner map is not an involution at {render_path(a)}")
@@ -711,7 +727,9 @@ def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> tuple:
     vertices in shortlex order, the verified WindowPairs); raises
     InvariantViolationError on failure. Every check reads degrees from the
     window's states and depths from path lengths; none walks a vertex from
-    the root."""
+    the root. The pass works on window indices, so with B empty no window
+    path is built; a nonempty B is found by asking B at every window path,
+    which builds the window's paths once."""
     win = t.window(depth)
     in_b = out.b_set.contains
     if out.b_set.kind == "empty":
@@ -753,7 +771,7 @@ def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> tuple:
         if j in b_index:
             raise InvariantViolationError(f"exceptional vertex {v} is in the oracle domain")
         raise InvariantViolationError(f"vertex {v} is outside the oracle domain and not exceptional")
-    met = [pairs[pos] for pos in pairs.beyond if in_b(pairs[pos][1])]
+    met = [(a, b) for a, b in pairs.beyond if in_b(b)]
     if met:
         a, b = met[0]
         raise InvariantViolationError(

@@ -152,7 +152,7 @@ class TestAutomaticTree:
     def test_window_paths_are_shortlex_and_keep_states(self):
         win = BATTERY["mixed_period"]().window(5)
         assert list(win.paths) == sorted(win.paths, key=shortlex)
-        assert set(vars(win)) == {"tree", "depth", "paths", "states"}
+        assert set(vars(win)) == {"tree", "depth", "states", "boundary_start", "paths"}
 
     def test_window_states_are_the_machine_states(self):
         for name, build in BATTERY.items():

@@ -1,6 +1,8 @@
 """Constructive matchings: rooted and end-based."""
 
+import gc
 import tracemalloc
+import weakref
 from random import Random
 
 import pytest
@@ -15,6 +17,7 @@ from treematch import (
     shortlex,
 )
 from treematch import graph_core, matcher
+from treematch.cli import _pair_lines
 from treematch.errors import BudgetExceededError, InvariantViolationError
 from treematch.graph_core import divergence_length
 from treematch.matcher import (
@@ -820,3 +823,55 @@ class TestTripodWords:
                 tracemalloc.stop()
             assert peak < 2**20, (v[:2], peak)
             assert oracle.partner(p) == v
+
+
+class TestIndexSpaceWindows:
+    """A window stores states, and the window pass records its pairs by
+    window index: the path tuples are built only where a reader asks."""
+
+    def test_window_paths_and_pairs_are_freed_by_reference_counting(self):
+        # No reference cycle may keep a window alive: with the collector
+        # off, the last reference going must free it at once.
+        t = BATTERY["three_regular"]()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for build in (lambda: rooted_matching(t).restricted_pairs(t.window(4)),
+                          lambda: match_ends(t, parse_ends(["|0", "|1"]), check_depth=4).pairs):
+                pairs = build()
+                win = pairs.window
+                paths = win.paths
+                assert list(pairs) and paths[-1] and win.names and win.child_start
+                refs = [weakref.ref(x) for x in (win, paths, pairs)]
+                del build, pairs, win, paths
+                assert [r() for r in refs] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()
+
+    @staticmethod
+    def peak_mib(run) -> float:
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("name, depth, limit", [("line", 1999, 25), ("three_regular", 14, 16)])
+    def test_rooted_window_pass_and_rendering_stay_small(self, name, depth, limit):
+        # The window, the pass and the rendered lines, as match-rooted runs
+        # them. Stored path tuples took 46.6 MiB on the line and 22.4 MiB on
+        # the 3-regular tree.
+        t = BATTERY[name]()
+        oracle = rooted_matching(t)
+        peak = self.peak_mib(lambda: _pair_lines(oracle.restricted_pairs(t.window(depth))))
+        assert peak < limit, peak
+
+    def test_deep_line_match_ends_keeps_no_anchor_paths(self):
+        # Every vertex of the unmatched line is an anchor, and the B check
+        # builds the window's paths: keeping each anchor's path as well
+        # would double the peak.
+        t = BATTERY["line"]()
+        peak = self.peak_mib(lambda: match_ends(t, parse_ends(["|0", "1|0"]), check_depth=1999))
+        assert peak <= 35, peak

@@ -19,6 +19,11 @@ of commands on both sides:
   equivalent, non-canonical descriptor: the period partly unrolled into the
   preperiod, and maybe doubled (`equivalent_descriptor` of
   tests/conftest.py, seeded);
+- `match-rooted`, `derivative --tree` and `match-ends` for each
+  `BATTERY_ENDS` group, with no `baire-sweep`, on windows deeper than the
+  ones above (`DEEP_WINDOWS`): the 3-regular tree and the two combs at
+  depths 12 and 14, the benchmark's sizes, and the line at depth 1999, the
+  deepest that the window caps allow;
 - the pair-system dump `counterexample --levels` at every level from 0 to
   10, the CLI's cap.
 
@@ -55,6 +60,8 @@ from treematch.presets import BATTERY, BATTERY_ENDS  # noqa: E402
 SWEEP_SEEDS = (("/",), ("/", "0/0/0"), ("1/0", "0/1/1", "1/1/1/1"))
 SWEEP_BUDGET = "200"  # closure is cubic in its budget; the default takes minutes on bad-ray trees
 RANDOM_MACHINES = 40
+DEEP_WINDOWS = {"three_regular": (12, 14), "odd_comb": (12, 14), "even_comb": (12, 14),
+                "line": (1999,)}
 
 # Runs treematch.cli.run on each JSON argv line of stdin, from the src/
 # directory given as its argument, and writes one JSON result line each:
@@ -92,6 +99,13 @@ def tree_runs(path: Path, depth: int, end_groups, rewrite: Random) -> list:
     return runs
 
 
+def deep_runs(path: Path, depth: int, end_groups) -> list:
+    d = ["--tree", str(path), "--depth", str(depth)]
+    return [["match-rooted", *d], ["derivative", *d]] + [
+        ["match-ends", *d, *(arg for e in group for arg in ("--end", e))] for group in end_groups
+    ]
+
+
 def matrix(tree_dir: Path) -> list:
     runs = []
     rewrite = Random(17)
@@ -107,6 +121,9 @@ def matrix(tree_dir: Path) -> list:
         path.write_text(tree_text(t))
         for depth in range(8):
             runs += tree_runs(path, depth, [[e.render() for e in ends]], rewrite)
+    for name, depths in DEEP_WINDOWS.items():
+        for depth in depths:
+            runs += deep_runs(tree_dir / f"{name}.tree", depth, BATTERY_ENDS[name])
     runs += [["counterexample", "--levels", str(n)] for n in range(MAX_DUMP_LEVELS + 1)]
     return runs
 
