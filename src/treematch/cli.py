@@ -149,13 +149,13 @@ def _word(s: str) -> str:
     return s if s else "-"
 
 
-def _pair_lines(pairs) -> list:
-    """The output lines of a window pass's pairs, each (upper end, its child
-    i) rendered from the window's names as "m <upper> <upper>/i"."""
-    names = pairs.window.names
-    lines = [f"m {names[j]} {names[j]}/{i}" for j, i in zip(pairs.uppers, pairs.children)]
-    if pairs.uppers and pairs.uppers[0] == 0:
-        lines[0] = f"m / {pairs.children[0]}"  # the root's child is not named //i
+def _pair_lines(names, uppers, children) -> list:
+    """The output lines of tree-edge pairs in window order of their upper
+    ends, each (upper end's window index, child i) rendered from the
+    window's names as "m <upper> <upper>/i"."""
+    lines = [f"m {names[j]} {names[j]}/{i}" for j, i in zip(uppers, children)]
+    if uppers and uppers[0] == 0:
+        lines[0] = f"m / {children[0]}"  # the root's child is not named //i
     return lines
 
 
@@ -170,7 +170,7 @@ def _cmd_derivative(args, stats, digest_parts):
         digest_parts.append(f"depth={args.depth}".encode())
         win = t.window(args.depth)
         result = derive_window(win)
-        label = render_path
+        label = win.names.__getitem__
         stats["vertices"] = result.trace[0]
     if isinstance(result, DerivativeConflict):
         stats["iterations"] = result.stage
@@ -193,15 +193,11 @@ def _cmd_derivative(args, stats, digest_parts):
         lines.extend(f"core {v}" for v in sorted(result.core))
         lines.extend(f"m {a} {b}" for a, b in result.forced.sorted_pairs())
         return lines, "ok", 0
-    # Forced pairs are tree edges, each met once at its upper end in window order.
-    core, lower = result.core, dict(result.forced.pairs)
-    forced = []
-    for v, name in zip(win.paths, win.names):
-        if v in core:
-            lines.append(f"core {name}")
-        elif v in lower:
-            forced.append(f"m {name} {render_path(lower[v])}")
-    lines += forced
+    names, first = win.names, win.child_start
+    lines.extend(f"core {names[j]}" for j in sorted(result.core))
+    # Forced pairs are tree edges, each stored as (upper, lower) window indices.
+    forced = sorted(result.forced.pairs)
+    lines += _pair_lines(names, [a for a, _ in forced], [b - first[a] for a, b in forced])
     return lines, "ok", 0
 
 
@@ -211,10 +207,10 @@ def _cmd_match_rooted(args, stats, digest_parts):
     oracle = rooted_matching(t)
     win = t.window(args.depth)
     pairs = oracle.restricted_pairs(win)
-    stats["vertices"] = len(win.paths)
+    stats["vertices"] = len(win.states)
     stats["iterations"] = len(pairs)
     stats["pointwise"] = pairs.pointwise
-    return _pair_lines(pairs), "ok", 0
+    return _pair_lines(win.names, pairs.uppers, pairs.children), "ok", 0
 
 
 def _cmd_match_ends(args, stats, digest_parts):
@@ -224,8 +220,9 @@ def _cmd_match_ends(args, stats, digest_parts):
     out = match_ends(t, ends, budget=args.budget, check_depth=args.depth)
     kind = out.b_set.kind.replace("_", "-")
     lines = [f"ends {out.n_ends}", f"bset {kind}"]
-    lines.extend(f"b {render_path(v)}" for v in out.b_vertices)
-    lines += _pair_lines(out.pairs)
+    names = out.pairs.window.names
+    lines.extend(f"b {names[j]}" for j in out.b_index)
+    lines += _pair_lines(names, out.pairs.uppers, out.pairs.children)
     stats["vertices"] = out.window_size
     stats["iterations"] = len(out.pairs)
     stats["pointwise"] = out.pairs.pointwise

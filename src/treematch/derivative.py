@@ -11,13 +11,14 @@ forced pairs extend any perfect matching of the core.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, compress
 
 from .graph_core import FiniteGraph, Matching, Window
 
 
 @dataclass(frozen=True)
 class DerivativeResult:
-    core: frozenset
+    core: frozenset  # vertex ids, as in forced: window indices from derive_window
     forced: Matching
     trace: tuple  # stage sizes, the input's first
     stabilized: bool
@@ -33,24 +34,19 @@ class DerivativeConflict:
     trace: tuple  # stage sizes, the input's first
 
 
-def _run(names, nbrs, outside, max_rounds: int | None):
-    """The derivative over vertex ids 0..n-1, n = len(names), with names[v]
-    naming v in the result. nbrs[v] lists v's neighbours in ascending order;
-    outside[v] counts v's children beyond the window, which always count as
-    present. A vertex left with only such a child is forced into it: its
-    partner is coded -1 - v and named names[v] + (0,)."""
-
-    def name(v):
-        return names[v] if v >= 0 else names[-1 - v] + (0,)
+def _run(nbrs, outside, max_rounds: int | None):
+    """The derivative over vertex ids 0..n-1, n = len(nbrs). nbrs[v] lists
+    v's neighbours in ascending order; outside[v] is the range of ids, each
+    at least n, of v's neighbours beyond the input, which always count as
+    present. A vertex left with only such a neighbour is forced into it."""
 
     def result(stabilized):
-        core = frozenset(names[v] for v, a in enumerate(alive) if a)
-        forced = Matching.of((name(a), name(b)) for a, b in pairs)
-        return DerivativeResult(core, forced, tuple(trace), stabilized, rounds)
+        core = frozenset(compress(range(n), alive))
+        return DerivativeResult(core, Matching.of(pairs), tuple(trace), stabilized, rounds)
 
-    n = len(names)
+    n = len(nbrs)
     alive = [True] * n
-    degree = [len(nbrs[v]) + outside[v] for v in range(n)]
+    degree = [len(nbrs[v]) + len(outside[v]) for v in range(n)]
     removed = [v for v in range(n) if degree[v] <= 1]
     trace = [n]
     pairs = []
@@ -64,8 +60,9 @@ def _run(names, nbrs, outside, max_rounds: int | None):
         rounds += 1
         for v in removed:
             if degree[v] == 0:
-                return DerivativeConflict("isolated", name(v), (), stage, tuple(trace))
-        partner = {v: next((w for w in nbrs[v] if alive[w]), -1 - v) for v in removed}
+                return DerivativeConflict("isolated", v, (), stage, tuple(trace))
+        # Degree one: the one neighbour left is alive inside or beyond.
+        partner = {v: next(chain((w for w in nbrs[v] if alive[w]), outside[v])) for v in removed}
         # A removed vertex has at most one neighbour left, its partner, so
         # only a vertex kept in the odd stage can be forced twice.
         forced_by = {}
@@ -74,13 +71,12 @@ def _run(names, nbrs, outside, max_rounds: int | None):
         clashes = [w for w, forcers in forced_by.items() if len(forcers) >= 2]
         if clashes:
             w = min(clashes)
-            bad = tuple(map(name, forced_by[w][:2]))
-            return DerivativeConflict("double_forced", name(w), bad, stage, tuple(trace))
+            return DerivativeConflict("double_forced", w, tuple(forced_by[w][:2]), stage, tuple(trace))
         pairs += [(v, w) for v, w in partner.items() if w not in partner or v < w]
         trace.append(trace[-1] - len(removed))
         # Each forced partner still present goes in the even stage; no two
         # forcers share one, so they are distinct.
-        even = [w for w in partner.values() if w >= 0 and w not in partner]
+        even = [w for w in partner.values() if w < n and w not in partner]
         trace.append(trace[-1] - len(even))
         dead = removed + even
         for v in dead:
@@ -99,7 +95,7 @@ def _run(names, nbrs, outside, max_rounds: int | None):
 def derive(g: FiniteGraph, max_rounds: int | None = None):
     """Run the derivative on a finite graph. Returns DerivativeResult or
     DerivativeConflict."""
-    return _run(range(g.vertex_count), g.adjacency, [0] * g.vertex_count, max_rounds)
+    return _run(g.adjacency, [()] * g.vertex_count, max_rounds)
 
 
 def derive_window(win: Window, max_rounds: int | None = None):
@@ -107,7 +103,8 @@ def derive_window(win: Window, max_rounds: int | None = None):
 
     Degrees are taken from the full tree: children beyond the window always
     count as present, so every pruning decision made here is also valid in the
-    infinite tree. Forced partners may lie one level beyond the window.
+    infinite tree. Vertices are named by window index; a forced partner one
+    level beyond the window, by its index in the window one level deeper.
     """
     if win.depth < 2:
         raise ValueError("window derivative needs depth >= 2")
@@ -119,6 +116,5 @@ def derive_window(win: Window, max_rounds: int | None = None):
         for w in range(first[v], first[v + 1]):
             nbrs[v].append(w)
             nbrs[w].append(v)
-    outside = [0] * boundary + [first[v + 1] - first[v] for v in range(boundary, n)]
-    # One tuple: _run names a vertex by indexing it, and a tuple does that in C.
-    return _run(tuple(win.paths), nbrs, outside, max_rounds)
+    outside = [()] * boundary + [range(first[v], first[v + 1]) for v in range(boundary, n)]
+    return _run(nbrs, outside, max_rounds)

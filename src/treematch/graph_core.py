@@ -281,16 +281,6 @@ class AutomaticTree:
             out.append(v[:-1])
         return out
 
-    def tree_distance(self, u: TreeVertex, v: TreeVertex) -> int:
-        if not (self.is_valid_vertex(u) and self.is_valid_vertex(v)):
-            raise ValueError("invalid vertex")
-        k = 0
-        for a, b in zip(u, v):
-            if a != b:
-                break
-            k += 1
-        return len(u) + len(v) - 2 * k
-
     def window(self, depth: int) -> "Window":
         """All vertices of path length <= depth, in shortlex order. Its size
         is first counted level by level by state, so a window over either

@@ -189,9 +189,7 @@ class MatchingOracle:
             raise ValueError(f"pair {render_path(v)} {render_path(p)} is not a tree edge")
 
         def childless(j: int) -> InvariantViolationError:
-            return InvariantViolationError(
-                f"vertex {render_path(win.paths[j])} has no child to pair with"
-            )
+            return InvariantViolationError(f"vertex {win.names[j]} has no child to pair with")
 
         choice[0] = ask(0, ROOT)
         zeros = [0] * max(branch.values(), default=0)
@@ -362,16 +360,29 @@ class BSet:
     def contains(self, v: TreeVertex) -> bool:
         return self.line is not None and self.line.position_of(v) is not None
 
+    def window_indices(self, win: Window) -> tuple:
+        """B's vertices down to path length win.depth + 1, ascending, by index
+        in the window one level deeper (those from len(win.states) on are
+        the boundary's children). Each ray is walked from the root through m
+        by child_start: O(depth) steps, and no window path is built."""
+        if self.line is None:
+            return ()
+        first, out = win.child_start, set()
+        for e in (self.line.e1, self.line.e2):
+            walk = itertools.accumulate(e.prefix(win.depth + 1), lambda j, i: first[j] + i, initial=0)
+            out.update(itertools.islice(walk, self.line.m_len, None))
+        return tuple(sorted(out))
+
 
 @dataclass
 class EndsOutput:
     b_set: BSet
     oracle: MatchingOracle
     n_ends: int
-    # What match_ends verified: the window size, B's window vertices in
-    # shortlex order, and the WindowPairs seen from the rest of the window.
+    # What match_ends verified: the window size, B's window indices in
+    # ascending order, and the WindowPairs seen from the rest of the window.
     window_size: int = 0
-    b_vertices: tuple = ()
+    b_index: tuple = ()
     pairs: Sequence = ()
 
 
@@ -704,7 +715,7 @@ def match_ends(
         out = two_end_matching(t, reps[0], reps[1], budget)
     else:
         out = many_end_matching(t, reps)
-    out.window_size, out.b_vertices, out.pairs = verify_ends_output(t, out, check_depth)
+    out.window_size, out.b_index, out.pairs = verify_ends_output(t, out, check_depth)
     return out
 
 
@@ -724,40 +735,40 @@ def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> tuple:
     the anchors and applies the anchor rule elsewhere, which is how
     out.oracle.partner itself answers off the anchors, so this certifies
     out.oracle.partner on the window. Returns (window size, B's window
-    vertices in shortlex order, the verified WindowPairs); raises
-    InvariantViolationError on failure. Every check reads degrees from the
-    window's states and depths from path lengths; none walks a vertex from
-    the root. The pass works on window indices, so with B empty no window
-    path is built; a nonempty B is found by asking B at every window path,
-    which builds the window's paths once."""
+    indices in ascending order, the verified WindowPairs); raises
+    InvariantViolationError on failure. B comes from BSet.window_indices,
+    one level deeper than the window so that boundary children count. The
+    checks read degrees from child_start, parents by bisection in it and
+    depths from level starts: no path is built, no vertex walked."""
     win = t.window(depth)
-    in_b = out.b_set.contains
-    if out.b_set.kind == "empty":
-        b_index = ()
-    else:
-        b_index = tuple(itertools.compress(range(len(win.paths)), map(in_b, win.paths)))
-    b_vertices = tuple(win.paths[j] for j in b_index)
-    first = win.child_start
-    kids = [first[j + 1] - first[j] for j in b_index]
-    for v, k in zip(b_vertices, kids):
-        neighbors = [v + (i,) for i in range(k)] + [v[:-1]] * (v != ROOT)
-        inside = sum(map(in_b, neighbors))
+    n, first = len(win.states), win.child_start
+    deeper = out.b_set.window_indices(win)
+    in_b = set(deeper)
+    b_index = deeper[: bisect.bisect_left(deeper, n)]
+    ups = [bisect.bisect_right(first, j) - 1 for j in b_index]  # the root's is -1
+    for j, up in zip(b_index, ups):
+        inside = bisect.bisect_left(deeper, first[j + 1]) - bisect.bisect_left(deeper, first[j])
+        inside += up in in_b
         if inside != 2:
             raise InvariantViolationError(
-                f"exceptional vertex {render_path(v)} has {inside} exceptional neighbors"
+                f"exceptional vertex {win.names[j]} has {inside} exceptional neighbors"
             )
     # The window's B vertices span a forest, whose edges join a vertex to its
     # parent: one component when there is one vertex more than edges.
-    flagged = set(b_vertices)
-    if len(flagged) - sum(v[:-1] in flagged for v in b_vertices if v) > 1:
+    if len(b_index) - sum(up in in_b for up in ups) > 1:
         raise InvariantViolationError("exceptional set spans more than one window component")
     # A tree is bipartite by depth, so two vertices lie at odd distance
-    # exactly when their depths differ in parity.
-    branched = [v for v, k in zip(b_vertices, kids) if k + (v != ROOT) >= 3]
-    opposite = [b for b in branched if (len(b) - len(branched[0])) % 2]
+    # exactly when their depths differ in parity. Level k + 1 starts at
+    # level k's first vertex's first child.
+    branched = [j for j in b_index if first[j + 1] - first[j] + (j != 0) >= 3]
+    starts = [0]
+    while branched and starts[-1] < win.boundary_start:
+        starts.append(first[starts[-1]])
+    parity = [(bisect.bisect_right(starts, j) - 1) % 2 for j in branched]
+    opposite = [j for j, p in zip(branched, parity) if p != parity[0]]
     if opposite:
         raise InvariantViolationError(
-            f"exceptional vertices {render_path(branched[0])}, {render_path(opposite[0])} "
+            f"exceptional vertices {win.names[branched[0]]}, {win.names[opposite[0]]} "
             "have degree >= 3 and odd distance"
         )
     try:
@@ -767,11 +778,11 @@ def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> tuple:
     odd = set(pairs.skipped).symmetric_difference(b_index)
     if odd:
         j = min(odd)
-        v = render_path(win.paths[j])
-        if j in b_index:
+        v = win.names[j]
+        if j in in_b:
             raise InvariantViolationError(f"exceptional vertex {v} is in the oracle domain")
         raise InvariantViolationError(f"vertex {v} is outside the oracle domain and not exceptional")
-    met = [(a, b) for a, b in pairs.beyond if in_b(b)]
+    met = [(a, b) for a, b in pairs.beyond if out.b_set.contains(b)]
     if met:
         a, b = met[0]
         raise InvariantViolationError(
@@ -781,4 +792,4 @@ def verify_ends_output(t: AutomaticTree, out: EndsOutput, depth: int) -> tuple:
         raise InvariantViolationError(
             "nonempty exceptional set on a tree with no bad ray"
         )
-    return len(win.paths), b_vertices, pairs
+    return n, b_index, pairs

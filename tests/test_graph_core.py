@@ -127,12 +127,6 @@ class TestAutomaticTree:
         assert t.is_valid_vertex((0, 1))
         assert not t.is_valid_vertex((2,))
 
-    def test_tree_distance(self):
-        t = BATTERY["three_regular"]()
-        assert t.tree_distance((0, 1), (0, 1)) == 0
-        assert t.tree_distance(ROOT, (0, 1)) == 2
-        assert t.tree_distance((0,), (1, 1)) == 3
-
     def test_window_sizes(self):
         t = BATTERY["three_regular"]()
         for depth, n_vertices, n_edges in [(0, 1, 0), (1, 4, 3), (3, 22, 21)]:

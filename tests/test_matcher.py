@@ -1,6 +1,7 @@
 """Constructive matchings: rooted and end-based."""
 
 import gc
+import re
 import tracemalloc
 import weakref
 from random import Random
@@ -35,9 +36,11 @@ from treematch.presets import BAD_RAY_TRUTH, BATTERY, BATTERY_ENDS, battery_ends
 
 from conftest import (
     check_window_matching,
+    cli_run,
     equivalent_descriptor,
     induced_tree_graph,
     random_machine,
+    tree_text,
 )
 
 
@@ -281,14 +284,18 @@ class _PredicateB:
         self.contains = contains
         self.kind = kind
 
+    def window_indices(self, win):
+        deeper = win.tree.window(win.depth + 1).paths
+        return tuple(j for j, v in enumerate(deeper) if self.contains(v))
+
 
 def _zeros(v):
     return all(i == 0 for i in v)
 
 
 def _broken_outputs():
-    """(label, tree, EndsOutput, depth) whose window check must fail, one
-    for each check in verify_ends_output."""
+    """(label, tree, EndsOutput, depth, message) whose window check must
+    fail with that message, one for each check in verify_ends_output."""
     binary = BATTERY["binary"]()
     rooted = rooted_matching(binary)
     no_b = _PredicateB(lambda v: False, "empty")
@@ -302,31 +309,43 @@ def _broken_outputs():
         return lambda v: table[v] if v in table else base(v)
 
     cases = [("non-involution inside the window", binary,
-              fabricated(binary, no_b, lambda v: v + (0,)), 3)]
+              fabricated(binary, no_b, lambda v: v + (0,)), 3, "vertex (0,) matched twice")]
     # A boundary vertex pairs one level down, and that partner pairs further down.
     v = next(v for v in binary.window(2).paths if len(rooted.partner(v)) == 3)
     child = rooted.partner(v)
     cases.append(("partner beyond the window does not point back", binary,
-                  fabricated(binary, no_b, overriding(rooted.partner, {child: child + (0,)})), 2))
+                  fabricated(binary, no_b, overriding(rooted.partner, {child: child + (0,)})), 2,
+                  "partner map is not an involution at 0/0"))
     cases.append(("partner beyond the window in B", binary,
                   fabricated(binary, _PredicateB(lambda v: v == child, "empty"), rooted.partner,
-                             in_domain=lambda v: True), 2))
+                             in_domain=lambda v: True), 2,
+                  "pair 0/0 0/0/0 meets the exceptional set"))
     swapped = {ROOT: (1, 0), (1, 0): ROOT, (0,): (1,), (1,): (0,)}
     cases.append(("involution across non-neighbours", binary,
-                  fabricated(binary, no_b, overriding(rooted.partner, swapped)), 3))
+                  fabricated(binary, no_b, overriding(rooted.partner, swapped)), 3,
+                  "pair / 1/0 is not a tree edge"))
     cases.append(("matched vertex outside the domain", binary,
-                  fabricated(binary, no_b, rooted.partner, in_domain=lambda v: v != ROOT), 3))
+                  fabricated(binary, no_b, rooted.partner, in_domain=lambda v: v != ROOT), 3,
+                  "pair / 0 meets a vertex outside the domain"))
     cases.append(("B not 2-regular", binary,
-                  fabricated(binary, _PredicateB(lambda v: v == ROOT), rooted.partner), 3))
+                  fabricated(binary, _PredicateB(lambda v: v == ROOT), rooted.partner), 3,
+                  "exceptional vertex / has 0 exceptional neighbors"))
     cases.append(("B vertices of degree >= 3 at odd distance", binary,
                   fabricated(binary, _PredicateB(lambda v: _zeros(v) or (v[0] == 1 and _zeros(v[1:]))),
-                             rooted.partner), 3))
+                             rooted.partner), 3,
+                  "exceptional vertices 0, 0/0 have degree >= 3 and odd distance"))
 
     comb = BATTERY["even_comb"]()
     line_out = two_end_matching(comb, *parse_ends(["|0", "1|0"]))
+    # The real line as B, with the rooted matching pairing its vertices too.
     cases.append(("B vertex in the domain", comb,
-                  fabricated(comb, line_out.b_set, line_out.oracle.partner,
-                             in_domain=lambda v: True), 4))
+                  fabricated(comb, line_out.b_set, rooted_matching(comb).partner,
+                             in_domain=lambda v: True), 4,
+                  "exceptional vertex / is in the oracle domain"))
+    # The real oracle leaves the line out, but B is declared empty.
+    cases.append(("vertex outside the domain not in B", comb,
+                  EndsOutput(no_b, line_out.oracle, 2), 4,
+                  "vertex / is outside the oracle domain and not exceptional"))
 
     def into_root(v):
         # The tooth at the root pairs its top vertex into the root, which is
@@ -335,7 +354,8 @@ def _broken_outputs():
             return ROOT if len(v) == 1 else v + (0,) if len(v) % 2 == 0 else v[:-1]
         return line_out.oracle.partner(v)
 
-    cases.append(("partner in B", comb, fabricated(comb, line_out.b_set, into_root), 4))
+    cases.append(("partner in B", comb, fabricated(comb, line_out.b_set, into_root), 4,
+                  "pair / 2 meets a vertex outside the domain"))
 
     # Two lines, one through the root and one through 2/0, whose degree-3
     # vertices are at even distance; the rest is the ray 2/1/0... below 2.
@@ -357,14 +377,16 @@ def _broken_outputs():
         return v + (0,) if len(v) % 2 == 1 else v[:-1]
 
     cases.append(("B with two components", forks,
-                  fabricated(forks, _PredicateB(two_lines), down_the_ray), 4))
+                  fabricated(forks, _PredicateB(two_lines), down_the_ray), 4,
+                  "exceptional set spans more than one window component"))
 
     three = BATTERY["three_regular"]()
     three_rooted = rooted_matching(three)
     tip = next(v for v in three.window(2).paths if len(three_rooted.partner(v)) == 3)
     b_tip = {tip, tip + (0,), tip + (1,)}
     cases.append(("nonempty B on a tree with no bad ray", three,
-                  fabricated(three, _PredicateB(b_tip.__contains__), three_rooted.partner), 2))
+                  fabricated(three, _PredicateB(b_tip.__contains__), three_rooted.partner), 2,
+                  "nonempty exceptional set on a tree with no bad ray"))
     return cases
 
 
@@ -372,10 +394,10 @@ BROKEN_OUTPUTS = _broken_outputs()
 
 
 class TestVerifierFailures:
-    @pytest.mark.parametrize("label, t, out, depth", BROKEN_OUTPUTS,
+    @pytest.mark.parametrize("label, t, out, depth, message", BROKEN_OUTPUTS,
                              ids=[case[0] for case in BROKEN_OUTPUTS])
-    def test_raises_invariant_violation(self, label, t, out, depth):
-        with pytest.raises(InvariantViolationError):
+    def test_raises_invariant_violation(self, label, t, out, depth, message):
+        with pytest.raises(InvariantViolationError, match=f"^{re.escape(message)}$"):
             verify_ends_output(t, out, depth)
 
     def test_exceptional_checks_walk_no_vertex_from_the_root(self, monkeypatch):
@@ -865,7 +887,11 @@ class TestIndexSpaceWindows:
         # the 3-regular tree.
         t = BATTERY[name]()
         oracle = rooted_matching(t)
-        peak = self.peak_mib(lambda: _pair_lines(oracle.restricted_pairs(t.window(depth))))
+        def render():
+            pairs = oracle.restricted_pairs(t.window(depth))
+            return _pair_lines(pairs.window.names, pairs.uppers, pairs.children)
+
+        peak = self.peak_mib(render)
         assert peak < limit, peak
 
     def test_deep_line_match_ends_keeps_no_anchor_paths(self):
@@ -875,3 +901,25 @@ class TestIndexSpaceWindows:
         t = BATTERY["line"]()
         peak = self.peak_mib(lambda: match_ends(t, parse_ends(["|0", "1|0"]), check_depth=1999))
         assert peak <= 35, peak
+
+    def test_deep_line_match_ends_stays_smaller_still(self):
+        # B comes by window index, so no window path is built: the whole
+        # run took 31.7 MiB when B was asked at every window path.
+        t = BATTERY["line"]()
+        peak = self.peak_mib(lambda: match_ends(t, parse_ends(["|0", "1|0"]), check_depth=1999))
+        assert peak <= 8, peak
+
+    def test_window_commands_build_no_window_paths(self, monkeypatch, tmp_path):
+        built = []
+        original = graph_core.WindowPaths._built
+        monkeypatch.setattr(graph_core.WindowPaths, "_built",
+                            lambda self: built.append(len(self)) or original(self))
+        for name, ends, depth in (("line", ["|0"], 1999), ("line", ["|0", "1|0"], 1999),
+                                  ("even_comb", ["|0", "1|0"], 14)):
+            out = match_ends(BATTERY[name](), parse_ends(ends), check_depth=depth)
+            assert out.b_set.kind != "empty", (name, ends)
+        path = tmp_path / "three_regular.tree"
+        path.write_text(tree_text(BATTERY["three_regular"]()))
+        code, stdout, _ = cli_run(["derivative", "--tree", str(path), "--depth", "14"])
+        assert code == 0 and stdout.count("\ncore ") == 3 * 2**14 - 2
+        assert built == []

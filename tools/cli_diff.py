@@ -24,6 +24,11 @@ of commands on both sides:
   ones above (`DEEP_WINDOWS`): the 3-regular tree and the two combs at
   depths 12 and 14, the benchmark's sizes, and the line at depth 1999, the
   deepest that the window caps allow;
+- `derivative --tree` on 100 seeded finite layered machines (2 to 5
+  states, each branching 1 to 3 ways into higher-numbered states, the last
+  one a leaf), at depths 2 to 6: windows that cut the finite tree, with
+  forced partners beyond them, and windows that hold it whole, with
+  conflicts of both kinds;
 - the pair-system dump `counterexample --levels` at every level from 0 to
   10, the CLI's cap.
 
@@ -34,7 +39,9 @@ compares the exit code, the sha256 of stdout and stderr with its
 `runtime=` and `pointwise=` values masked. It prints every run that
 differs and exits 1 if any does. Runs whose `pointwise=` count alone
 changed are counted by the exceptional-set kind that `match-ends` printed.
-Standard library only, plus the git command line.
+It also counts, on this checkout's side, the `derivative --tree` runs by
+outcome: each conflict kind, and the runs with a forced partner beyond the
+window. Standard library only, plus the git command line.
 """
 
 from __future__ import annotations
@@ -55,17 +62,22 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conftest import equivalent_descriptor, random_machine, tree_text  # noqa: E402
 from treematch.cli import MAX_DUMP_LEVELS  # noqa: E402
+from treematch.graph_core import AutomaticTree  # noqa: E402
 from treematch.presets import BATTERY, BATTERY_ENDS  # noqa: E402
 
 SWEEP_SEEDS = (("/",), ("/", "0/0/0"), ("1/0", "0/1/1", "1/1/1/1"))
 SWEEP_BUDGET = "200"  # closure is cubic in its budget; the default takes minutes on bad-ray trees
 RANDOM_MACHINES = 40
+FINITE_MACHINES = 100
+FINITE_DEPTHS = range(2, 7)
 DEEP_WINDOWS = {"three_regular": (12, 14), "odd_comb": (12, 14), "even_comb": (12, 14),
                 "line": (1999,)}
 
 # Runs treematch.cli.run on each JSON argv line of stdin, from the src/
 # directory given as its argument, and writes one JSON result line each:
-# exit code, stdout sha256, stderr, and the "bset" line of the stdout.
+# exit code, stdout sha256, stderr, and the "bset" line of the stdout, or
+# for `derivative --tree` its outcome: "kind <conflict kind>", "beyond" when
+# a forced pair's lower end is one level below the window, or "ok".
 WORKER = r"""
 import contextlib, hashlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -79,8 +91,14 @@ for line in sys.stdin:
             code = "traceback"
             print(f"{type(exc).__name__}: {exc}", file=err)
     text = out.getvalue()
-    bset = next((s for s in text.splitlines() if s.startswith("bset ")), "")
-    print(json.dumps([code, hashlib.sha256(text.encode()).hexdigest(), err.getvalue(), bset]))
+    lines = text.splitlines()
+    tag = next((s for s in lines if s.startswith(("bset ", "kind "))), "")
+    argv = json.loads(line)
+    if argv[:2] == ["derivative", "--tree"] and not tag:
+        depth = int(argv[argv.index("--depth") + 1])
+        lower_depths = (s.split()[2].count("/") + 1 for s in lines if s.startswith("m "))
+        tag = "beyond" if depth + 1 in lower_depths else "ok"
+    print(json.dumps([code, hashlib.sha256(text.encode()).hexdigest(), err.getvalue(), tag]))
 """
 
 MASK = re.compile(r"\b(runtime|pointwise)=\S+")
@@ -106,6 +124,17 @@ def deep_runs(path: Path, depth: int, end_groups) -> list:
     ]
 
 
+def finite_machine(rng: Random) -> AutomaticTree:
+    """A layered machine: each state branches only into higher-numbered
+    states and the last one has no children, so the tree is finite."""
+    n = rng.randint(2, 5)
+    branch = {f"s{i}": rng.randint(1, 3) for i in range(n - 1)}
+    branch[f"s{n - 1}"] = 0
+    step = {(f"s{i}", j): f"s{rng.randint(i + 1, n - 1)}"
+            for i in range(n - 1) for j in range(branch[f"s{i}"])}
+    return AutomaticTree.build("s0", branch, step)
+
+
 def matrix(tree_dir: Path) -> list:
     runs = []
     rewrite = Random(17)
@@ -121,6 +150,11 @@ def matrix(tree_dir: Path) -> list:
         path.write_text(tree_text(t))
         for depth in range(8):
             runs += tree_runs(path, depth, [[e.render() for e in ends]], rewrite)
+    rng = Random(7)
+    for k in range(FINITE_MACHINES):
+        path = tree_dir / f"finite{k}.tree"
+        path.write_text(tree_text(finite_machine(rng)))
+        runs += [["derivative", "--tree", str(path), "--depth", str(d)] for d in FINITE_DEPTHS]
     for name, depths in DEEP_WINDOWS.items():
         for depth in depths:
             runs += deep_runs(tree_dir / f"{name}.tree", depth, BATTERY_ENDS[name])
@@ -153,7 +187,10 @@ def main(argv=None) -> int:
 
     differ = 0
     pointwise_only: Counter = Counter()
+    derivative: Counter = Counter()
     for argv, old, new in zip(runs, parent, change):
+        if argv[:2] == ["derivative", "--tree"]:
+            derivative[new[3]] += 1
         old_err, new_err = MASK.sub(r"\1=", old[2]), MASK.sub(r"\1=", new[2])
         if old[:2] != new[:2] or old_err != new_err:
             differ += 1
@@ -167,6 +204,10 @@ def main(argv=None) -> int:
     changed = ", ".join(f"{kind} {n}" for kind, n in sorted(pointwise_only.items()))
     print(f"; pointwise= alone changed on {sum(pointwise_only.values())}"
           + (f" ({changed})" if changed else ""))
+    print(f"derivative --tree: {sum(derivative.values())} runs, "
+          f"{derivative['kind double_forced']} double_forced and "
+          f"{derivative['kind isolated']} isolated conflicts, "
+          f"{derivative['beyond']} with a forced partner beyond the window")
     return 1 if differ else 0
 
 
