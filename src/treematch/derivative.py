@@ -11,7 +11,7 @@ forced pairs extend any perfect matching of the core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 
 from .graph_core import FiniteGraph, Matching, Window
 
@@ -58,38 +58,45 @@ def _run(nbrs, outside, max_rounds: int | None):
             return result(True)
         stage = 2 * rounds + 1
         rounds += 1
+        forcer = {}  # partner -> the first removed vertex forced into it
+        clash = None  # (lowest vertex forced twice, its first two forcers)
         for v in removed:
             if degree[v] == 0:
                 return DerivativeConflict("isolated", v, (), stage, tuple(trace))
-        # Degree one: the one neighbour left is alive inside or beyond.
-        partner = {v: next(chain((w for w in nbrs[v] if alive[w]), outside[v])) for v in removed}
+            # Degree one: the one neighbour left is alive inside or beyond.
+            for w in nbrs[v]:
+                if alive[w]:
+                    break
+            else:
+                w = outside[v][0]
+            u = forcer.setdefault(w, v)
+            if u != v and (clash is None or w < clash[0]):
+                clash = (w, u, v)
         # A removed vertex has at most one neighbour left, its partner, so
         # only a vertex kept in the odd stage can be forced twice.
-        forced_by = {}
+        if clash:
+            return DerivativeConflict("double_forced", clash[0], clash[1:], stage, tuple(trace))
         for v in removed:
-            forced_by.setdefault(partner[v], []).append(v)
-        clashes = [w for w, forcers in forced_by.items() if len(forcers) >= 2]
-        if clashes:
-            w = min(clashes)
-            return DerivativeConflict("double_forced", w, tuple(forced_by[w][:2]), stage, tuple(trace))
-        pairs += [(v, w) for v, w in partner.items() if w not in partner or v < w]
-        trace.append(trace[-1] - len(removed))
-        # Each forced partner still present goes in the even stage; no two
-        # forcers share one, so they are distinct.
-        even = [w for w in partner.values() if w < n and w not in partner]
-        trace.append(trace[-1] - len(even))
-        dead = removed + even
-        for v in dead:
             alive[v] = False
+        trace.append(trace[-1] - len(removed))
+        # Each forced partner still present goes in the even stage; a pair of
+        # removed vertices forced into each other is recorded once.
+        even = [w for w in forcer if w < n and alive[w]]
+        pairs += [(v, w) for w, v in forcer.items() if w >= n or alive[w] or v < w]
+        trace.append(trace[-1] - len(even))
+        for w in even:
+            alive[w] = False
         # Only the dead vertices' surviving neighbours lose degree, and every
-        # other survivor kept degree two or more.
-        touched = set()
-        for v in dead:
+        # other survivor kept degree two or more, so each one that drops to
+        # one or below reaches one exactly once.
+        dropped = []
+        for v in removed + even:
             for w in nbrs[v]:
                 if alive[w]:
                     degree[w] -= 1
-                    touched.add(w)
-        removed = sorted(w for w in touched if degree[w] <= 1)
+                    if degree[w] == 1:
+                        dropped.append(w)
+        removed = sorted(dropped)
 
 
 def derive(g: FiniteGraph, max_rounds: int | None = None):

@@ -71,16 +71,18 @@ class Matching:
     def of(cls, pairs: Iterable) -> "Matching":
         canon = set()
         seen = {}
-        for pair in pairs:
-            a, b = pair
+        for a, b in pairs:
             if a == b:
                 raise ValueError(f"loop pair {a!r}")
-            if _vertex_key(b) < _vertex_key(a):
+            if type(a) is int and type(b) is int:
+                if b < a:
+                    a, b = b, a
+            elif _vertex_key(b) < _vertex_key(a):
                 a, b = b, a
-            for end, other in ((a, b), (b, a)):
-                if end in seen and seen[end] != other:
-                    raise ValueError(f"vertex {end!r} matched twice")
-                seen[end] = other
+            if seen.setdefault(a, b) != b:
+                raise ValueError(f"vertex {a!r} matched twice")
+            if seen.setdefault(b, a) != a:
+                raise ValueError(f"vertex {b!r} matched twice")
             canon.add((a, b))
         return cls(frozenset(canon))
 
@@ -170,8 +172,18 @@ class FiniteGraph:
         return tuple(sorted(out))
 
     def is_acyclic(self) -> bool:
-        # A simple graph is a forest iff |E| = |V| - #components.
-        return len(self.edges) == self.vertex_count - len(self.components())
+        """Union-find over the edges, halving paths on the way to a root: a
+        cycle closes at an edge whose ends already share a root."""
+        root = list(range(self.vertex_count))
+        for a, b in self.edges:
+            while root[a] != a:
+                root[a] = a = root[root[a]]
+            while root[b] != b:
+                root[b] = b = root[root[b]]
+            if a == b:
+                return False
+            root[a] = b
+        return True
 
 
 def _reachable(root_state: str, branch: dict, step: dict) -> set:

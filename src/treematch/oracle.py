@@ -9,6 +9,7 @@ greedy matcher for forests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .errors import BudgetExceededError, InvariantViolationError
 from .graph_core import FiniteGraph, Matching
@@ -20,40 +21,44 @@ ENUMERATION_NODE_LIMIT = 2_000_000
 
 def two_coloring(g: FiniteGraph) -> dict | None:
     """BFS 2-coloring, or None if some component has an odd cycle."""
-    color = {}
+    nbrs = g.adjacency
+    color = [-1] * g.vertex_count
     for start in range(g.vertex_count):
-        if start in color:
+        if color[start] >= 0:
             continue
         color[start] = 0
         queue = [start]
-        while queue:
-            v = queue.pop(0)
-            for w in g.neighbors(v):
-                if w not in color:
-                    color[w] = 1 - color[v]
+        for v in queue:
+            c = 1 - color[v]
+            for w in nbrs[v]:
+                if color[w] < 0:
+                    color[w] = c
                     queue.append(w)
-                elif color[w] == color[v]:
+                elif color[w] != c:
                     return None
-    return color
+    return dict(enumerate(color))
 
 
 def _bipartite_max_matching(g: FiniteGraph, color: dict) -> Matching:
-    match = {}
+    """Kuhn's augmenting paths from each colour-0 vertex in id order,
+    neighbours ascending: O(n*m) worst case."""
+    nbrs = g.adjacency
+    match = [-1] * g.vertex_count  # colour-1 vertex -> its colour-0 partner
+    seen = [-1] * g.vertex_count  # the root of the search that last visited it
 
-    def augment(v: int, visited: set) -> bool:
-        for w in g.neighbors(v):
-            if w in visited:
-                continue
-            visited.add(w)
-            if w not in match or augment(match[w], visited):
-                match[w] = v
-                return True
+    def augment(v: int, root: int) -> bool:
+        for w in nbrs[v]:
+            if seen[w] != root:
+                seen[w] = root
+                if match[w] < 0 or augment(match[w], root):
+                    match[w] = v
+                    return True
         return False
 
     for v in range(g.vertex_count):
         if color[v] == 0:
-            augment(v, set())
-    return Matching.of((owner, w) for w, owner in match.items())
+            augment(v, v)
+    return Matching.of((owner, w) for w, owner in enumerate(match) if owner >= 0)
 
 
 def _exhaustive_max_matching(g: FiniteGraph) -> Matching:
@@ -97,7 +102,8 @@ def _exhaustive_max_matching(g: FiniteGraph) -> Matching:
 
 
 def max_matching(g: FiniteGraph) -> Matching:
-    """A maximum matching; deterministic for a given graph."""
+    """A maximum matching; deterministic for a given graph. Augmenting paths
+    on a bipartite graph, O(n*m) worst case; else an exhaustive search."""
     color = two_coloring(g)
     if color is not None:
         return _bipartite_max_matching(g, color)
@@ -156,26 +162,35 @@ class GreedyResult:
 def greedy_forest_matching(g: FiniteGraph) -> GreedyResult:
     """Repeatedly pair the lowest-id vertex of degree <= 1 with its forced
     neighbor. On forests this succeeds iff a perfect matching exists; failure
-    reports the vertex left isolated."""
+    reports the lowest vertex left isolated. O(n log n): the degree-one
+    vertices wait in a heap."""
     if not g.is_acyclic():
         raise ValueError("greedy matcher requires a forest")
-    alive = set(range(g.vertex_count))
-    deg = {v: g.degree(v) for v in alive}
+    nbrs = g.adjacency
+    alive = [True] * g.vertex_count
+    deg = [len(nbrs[v]) for v in range(g.vertex_count)]
+    zeros = [v for v in range(g.vertex_count) if deg[v] == 0]
+    leaves = [v for v in range(g.vertex_count) if deg[v] == 1]  # ascending, so a heap
     pairs = []
-    while alive:
-        zeros = [v for v in sorted(alive) if deg[v] == 0]
+    while 2 * len(pairs) < g.vertex_count:
+        # A vertex of degree zero stays so, and there was none before the
+        # last step, so the new ones are all of them.
         if zeros:
-            return GreedyResult(False, None, zeros[0])
-        v = min(v for v in alive if deg[v] == 1)
-        u = next(w for w in g.neighbors(v) if w in alive)
-        pairs.append((v, u))
-        for gone in (v, u):
-            alive.discard(gone)
-            for w in g.neighbors(gone):
-                if w in alive:
-                    deg[w] -= 1
-        if not alive:
-            break
-        if all(deg[v] >= 2 for v in alive):
+            return GreedyResult(False, None, min(zeros))
+        while leaves and not alive[leaves[0]]:
+            heappop(leaves)
+        if not leaves:
             raise InvariantViolationError("cycle encountered in a forest")
+        v = heappop(leaves)
+        u = next(w for w in nbrs[v] if alive[w])
+        pairs.append((v, u))
+        alive[v] = alive[u] = False
+        for gone in (v, u):
+            for w in nbrs[gone]:
+                if alive[w]:
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        heappush(leaves, w)
+                    elif deg[w] == 0:
+                        zeros.append(w)
     return GreedyResult(True, Matching.of(pairs), None)

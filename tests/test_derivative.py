@@ -37,6 +37,19 @@ class TestDeriveFinite:
         assert res.vertex == 1
         assert tuple(sorted(res.partners)) == (0, 2)
 
+    @pytest.mark.parametrize("edges, vertex, partners", [
+        # a star centre whose leaves 1, 4 and 6 are not adjacent ids
+        ([(2, 1), (2, 4), (2, 6), (0, 3), (3, 5), (0, 5), (0, 2)], 2, (1, 4)),
+        # two clashes: the lower vertex, 0, is forced last
+        ([(2, 1), (2, 4), (2, 6), (0, 3), (3, 5), (5, 2), (0, 2), (0, 7), (0, 8)], 0, (7, 8)),
+    ])
+    def test_double_forced_names_the_first_two_forcers(self, edges, vertex, partners):
+        n = 1 + max(v for e in edges for v in e)
+        res = derive(FiniteGraph.from_edges(n, edges))
+        assert isinstance(res, DerivativeConflict)
+        assert res.kind == "double_forced" and res.stage == 1
+        assert (res.vertex, res.partners) == (vertex, partners)
+
     def test_cycle_four_is_its_own_core(self):
         res = derive(cycle_graph(4))
         assert isinstance(res, DerivativeResult)

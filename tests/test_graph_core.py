@@ -65,12 +65,16 @@ class TestMatching:
         assert len(m) == 1
 
     def test_loop_pair_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="loop pair 2"):
             Matching.of([(2, 2)])
+        with pytest.raises(ValueError, match=r"loop pair \(0, 1\)"):
+            Matching.of([((0, 1), (0, 1))])
 
     def test_overlapping_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            Matching.of([(0, 1), (1, 2)])
+        for pairs, vertex in [([(0, 1), (1, 2)], "1"), ([(0, 2), (1, 2)], "2"),
+                              ([((0,), ()), ((0,), (0, 0))], r"\(0,\)")]:
+            with pytest.raises(ValueError, match=f"^vertex {vertex} matched twice$"):
+                Matching.of(pairs)
 
     def test_validate_on_graph(self):
         g = path_graph(4)
@@ -104,6 +108,21 @@ class TestFiniteGraph:
             8, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (4, 7)]
         )
         assert two_stars.is_acyclic()
+
+    def test_is_acyclic_agrees_with_the_component_count(self):
+        rng = Random(27)
+        graphs = [FiniteGraph.from_edges(0, []), FiniteGraph.from_edges(3, [])]
+        for _ in range(400):
+            n = rng.randrange(1, 13)
+            p = rng.choice((0.1, 0.25, 0.5))
+            graphs.append(FiniteGraph.from_edges(
+                n, [(a, b) for b in range(n) for a in range(b) if rng.random() < p]))
+        cyclic = 0
+        for g in graphs:
+            forest = len(g.edges) == g.vertex_count - len(g.components())
+            assert g.is_acyclic() == forest, (g.vertex_count, sorted(g.edges))
+            cyclic += not forest
+        assert 50 < cyclic < len(graphs) - 50
 
     def test_star_shape(self):
         g = star_graph(3)

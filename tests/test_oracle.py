@@ -16,6 +16,64 @@ from treematch.oracle import (
 from treematch.presets import complete_graph, cycle_graph, path_graph, star_graph
 
 
+def greedy_reference(g):
+    """The documented greedy rule, step by step: pair the lowest-id vertex
+    of degree one with its one neighbour left; fail at the lowest isolated
+    vertex."""
+    alive = set(range(g.vertex_count))
+    pairs = []
+    while alive:
+        live = {v: [w for w in g.neighbors(v) if w in alive] for v in alive}
+        isolated = [v for v in alive if not live[v]]
+        if isolated:
+            return False, None, min(isolated)
+        v = min(v for v in alive if len(live[v]) == 1)
+        pairs.append((v, live[v][0]))
+        alive -= {v, live[v][0]}
+    return True, sorted((min(p), max(p)) for p in pairs), None
+
+
+def kuhn_reference(g):
+    """Kuhn's augmenting paths on a bipartite graph, from the colour-0
+    vertices in id order, neighbours ascending, with a fresh visited set per
+    search; colour 0 is an even distance from its component's lowest vertex."""
+    color = {}
+    for start in range(g.vertex_count):
+        if start not in color:
+            color[start] = 0
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                for w in g.neighbors(v):
+                    if w not in color:
+                        color[w] = 1 - color[v]
+                        stack.append(w)
+    match = {}
+
+    def augment(v, visited):
+        for w in g.neighbors(v):
+            if w not in visited:
+                visited.add(w)
+                if w not in match or augment(match[w], visited):
+                    match[w] = v
+                    return True
+        return False
+
+    for v in range(g.vertex_count):
+        if color[v] == 0:
+            augment(v, set())
+    return sorted((min(v, w), max(v, w)) for w, v in match.items())
+
+
+def bipartite_graph(rng):
+    """Random edges across a random bipartition: even cycles, no odd ones."""
+    n = rng.randrange(2, 15)
+    side = [rng.random() < 0.5 for _ in range(n)]
+    edges = [(a, b) for b in range(n) for a in range(b)
+             if side[a] != side[b] and rng.random() < 0.35]
+    return FiniteGraph.from_edges(n, edges)
+
+
 class TestMaxMatching:
     def test_single_edge(self):
         assert max_matching(path_graph(2)).sorted_pairs() == [(0, 1)]
@@ -29,6 +87,20 @@ class TestMaxMatching:
     def test_odd_cliques_leave_one_vertex(self):
         for n in (3, 5, 7):
             assert len(max_matching(complete_graph(n))) == n // 2
+
+    def test_pairs_are_kuhns_on_all_small_forests(self):
+        for n in range(1, 11):
+            for g in forests(n):
+                assert max_matching(g).sorted_pairs() == kuhn_reference(g), g.edges
+
+    def test_pairs_are_kuhns_on_bipartite_graphs_with_cycles(self):
+        rng = random.Random(2711)
+        cyclic = 0
+        for _ in range(500):
+            g = bipartite_graph(rng)
+            assert max_matching(g).sorted_pairs() == kuhn_reference(g), g.edges
+            cyclic += not g.is_acyclic()
+        assert cyclic > 100
 
     def test_result_is_a_valid_matching(self):
         rng = random.Random(7)
@@ -97,6 +169,22 @@ class TestGreedyForestMatching:
     def test_rejects_cycles(self):
         with pytest.raises(ValueError):
             greedy_forest_matching(cycle_graph(4))
+
+    def test_follows_the_greedy_rule_on_all_small_forests(self):
+        for n in range(1, 11):
+            for g in forests(n):
+                self._assert_greedy_rule(g)
+
+    def test_follows_the_greedy_rule_on_random_forests(self):
+        rng = random.Random(2712)
+        for _ in range(1000):
+            self._assert_greedy_rule(random_forest(rng, 20))
+
+    @staticmethod
+    def _assert_greedy_rule(g):
+        res = greedy_forest_matching(g)
+        pairs = res.matching.sorted_pairs() if res.ok else None
+        assert (res.ok, pairs, res.stuck_vertex) == greedy_reference(g), g.edges
 
     def test_matches_decision_oracle_on_all_small_forests(self):
         for n in range(1, 13):

@@ -29,6 +29,11 @@ of commands on both sides:
   one a leaf), at depths 2 to 6: windows that cut the finite tree, with
   forced partners beyond them, and windows that hold it whole, with
   conflicts of both kinds;
+- `derivative --graph` and `subdivide --graph` on every tree of 1 to 9
+  vertices (`enumeration.all_trees`), on 200 seeded random forests of up
+  to 16 vertices, and on 100 seeded graphs with cycles (a random tree of 3
+  to 12 vertices plus 1 to 3 more edges, odd cycles among them):
+  conflicts of both kinds, and cores;
 - the pair-system dump `counterexample --levels` at every level from 0 to
   10, the CLI's cap.
 
@@ -39,9 +44,10 @@ compares the exit code, the sha256 of stdout and stderr with its
 `runtime=` and `pointwise=` values masked. It prints every run that
 differs and exits 1 if any does. Runs whose `pointwise=` count alone
 changed are counted by the exceptional-set kind that `match-ends` printed.
-It also counts, on this checkout's side, the `derivative --tree` runs by
-outcome: each conflict kind, and the runs with a forced partner beyond the
-window. Standard library only, plus the git command line.
+It also counts, on this checkout's side, the `derivative` runs by outcome:
+each conflict kind, the `--tree` runs with a forced partner beyond the
+window, and the `--graph` runs that print a core. Standard library only,
+plus the git command line.
 """
 
 from __future__ import annotations
@@ -62,7 +68,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conftest import equivalent_descriptor, random_machine, tree_text  # noqa: E402
 from treematch.cli import MAX_DUMP_LEVELS  # noqa: E402
-from treematch.graph_core import AutomaticTree  # noqa: E402
+from treematch.enumeration import all_trees, random_forest  # noqa: E402
+from treematch.graph_core import AutomaticTree, FiniteGraph  # noqa: E402
 from treematch.presets import BATTERY, BATTERY_ENDS  # noqa: E402
 
 SWEEP_SEEDS = (("/",), ("/", "0/0/0"), ("1/0", "0/1/1", "1/1/1/1"))
@@ -70,14 +77,18 @@ SWEEP_BUDGET = "200"  # closure is cubic in its budget; the default takes minute
 RANDOM_MACHINES = 40
 FINITE_MACHINES = 100
 FINITE_DEPTHS = range(2, 7)
+TREE_ORDERS = range(1, 10)
+RANDOM_FORESTS = 200
+CYCLIC_GRAPHS = 100
 DEEP_WINDOWS = {"three_regular": (12, 14), "odd_comb": (12, 14), "even_comb": (12, 14),
                 "line": (1999,)}
 
 # Runs treematch.cli.run on each JSON argv line of stdin, from the src/
 # directory given as its argument, and writes one JSON result line each:
 # exit code, stdout sha256, stderr, and the "bset" line of the stdout, or
-# for `derivative --tree` its outcome: "kind <conflict kind>", "beyond" when
-# a forced pair's lower end is one level below the window, or "ok".
+# for `derivative` its outcome: "kind <conflict kind>", for `--tree`
+# "beyond" when a forced pair's lower end is one level below the window, for
+# `--graph` "core" when a core line is printed, or else "ok".
 WORKER = r"""
 import contextlib, hashlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -98,6 +109,8 @@ for line in sys.stdin:
         depth = int(argv[argv.index("--depth") + 1])
         lower_depths = (s.split()[2].count("/") + 1 for s in lines if s.startswith("m "))
         tag = "beyond" if depth + 1 in lower_depths else "ok"
+    elif argv[:2] == ["derivative", "--graph"] and not tag:
+        tag = "core" if any(s.startswith("core ") for s in lines) else "ok"
     print(json.dumps([code, hashlib.sha256(text.encode()).hexdigest(), err.getvalue(), tag]))
 """
 
@@ -135,6 +148,23 @@ def finite_machine(rng: Random) -> AutomaticTree:
     return AutomaticTree.build("s0", branch, step)
 
 
+def cyclic_graph(rng: Random) -> FiniteGraph:
+    """A random tree of 3 to 12 vertices plus 1 to 3 more edges, as many as
+    fit, closing cycles of either parity."""
+    n = rng.randint(3, 12)
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    size = min(n - 1 + rng.randint(1, 3), n * (n - 1) // 2)
+    while len(edges) < size:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return FiniteGraph.from_edges(n, edges)
+
+
+def graph_runs(path: Path, g: FiniteGraph) -> list:
+    edges = "".join(f"e {a} {b}\n" for a, b in sorted(g.edges))
+    path.write_text(f"graph {g.vertex_count}\n{edges}")
+    return [["derivative", "--graph", str(path)], ["subdivide", "--graph", str(path)]]
+
+
 def matrix(tree_dir: Path) -> list:
     runs = []
     rewrite = Random(17)
@@ -158,6 +188,12 @@ def matrix(tree_dir: Path) -> list:
     for name, depths in DEEP_WINDOWS.items():
         for depth in depths:
             runs += deep_runs(tree_dir / f"{name}.tree", depth, BATTERY_ENDS[name])
+    graphs = [g for n in TREE_ORDERS for g in all_trees(n)]
+    rng = Random(13)
+    graphs += [random_forest(rng) for _ in range(RANDOM_FORESTS)]
+    graphs += [cyclic_graph(rng) for _ in range(CYCLIC_GRAPHS)]
+    for k, g in enumerate(graphs):
+        runs += graph_runs(tree_dir / f"graph{k}.g", g)
     runs += [["counterexample", "--levels", str(n)] for n in range(MAX_DUMP_LEVELS + 1)]
     return runs
 
@@ -187,10 +223,10 @@ def main(argv=None) -> int:
 
     differ = 0
     pointwise_only: Counter = Counter()
-    derivative: Counter = Counter()
+    derivative = {"--tree": Counter(), "--graph": Counter()}
     for argv, old, new in zip(runs, parent, change):
-        if argv[:2] == ["derivative", "--tree"]:
-            derivative[new[3]] += 1
+        if argv[0] == "derivative":
+            derivative[argv[1]][new[3]] += 1
         old_err, new_err = MASK.sub(r"\1=", old[2]), MASK.sub(r"\1=", new[2])
         if old[:2] != new[:2] or old_err != new_err:
             differ += 1
@@ -204,10 +240,13 @@ def main(argv=None) -> int:
     changed = ", ".join(f"{kind} {n}" for kind, n in sorted(pointwise_only.items()))
     print(f"; pointwise= alone changed on {sum(pointwise_only.values())}"
           + (f" ({changed})" if changed else ""))
-    print(f"derivative --tree: {sum(derivative.values())} runs, "
-          f"{derivative['kind double_forced']} double_forced and "
-          f"{derivative['kind isolated']} isolated conflicts, "
-          f"{derivative['beyond']} with a forced partner beyond the window")
+    outcomes = {"--tree": ("beyond", "with a forced partner beyond the window"),
+                "--graph": ("core", "with a core")}
+    for source, (tag, meaning) in outcomes.items():
+        count = derivative[source]
+        print(f"derivative {source}: {sum(count.values())} runs, "
+              f"{count['kind double_forced']} double_forced and "
+              f"{count['kind isolated']} isolated conflicts, {count[tag]} {meaning}")
     return 1 if differ else 0
 
 
