@@ -9,6 +9,7 @@ lives, so captured primary output is byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -336,7 +337,10 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first run and reused by every
+    later run in the process: parse_args keeps no state between calls."""
     p = argparse.ArgumentParser(
         prog="treematch",
         description="Perfect matchings on finite forests and finitely presented trees.",
@@ -422,7 +426,9 @@ def run(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = "\n".join(lines) + ("\n" if lines else "")
+    # One join, trailing newline included: "" when there are no lines.
+    lines.append("")
+    text = "\n".join(lines)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

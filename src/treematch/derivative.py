@@ -10,6 +10,7 @@ forced pairs extend any perfect matching of the core.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 
@@ -34,20 +35,22 @@ class DerivativeConflict:
     trace: tuple  # stage sizes, the input's first
 
 
-def _run(nbrs, outside, max_rounds: int | None):
-    """The derivative over vertex ids 0..n-1, n = len(nbrs). nbrs[v] lists
-    v's neighbours in ascending order; outside[v] is the range of ids, each
-    at least n, of v's neighbours beyond the input, which always count as
-    present. A vertex left with only such a neighbour is forced into it."""
+def _run(degree, neighbours, beyond, max_rounds: int | None):
+    """The derivative over vertex ids 0..n-1, n = len(degree). degree lists
+    each vertex's full degree, and the run counts it down in place as
+    neighbours are deleted. neighbours(v) gives v's neighbours among the n
+    ids; it is called only for deleted vertices. The rest of v's degree
+    counts neighbours beyond the input, which always count as present: a
+    vertex left with only such a neighbour is forced into beyond[v], an id
+    of at least n."""
 
     def result(stabilized):
         core = frozenset(compress(range(n), alive))
         return DerivativeResult(core, Matching.of(pairs), tuple(trace), stabilized, rounds)
 
-    n = len(nbrs)
+    n = len(degree)
     alive = [True] * n
-    degree = [len(nbrs[v]) + len(outside[v]) for v in range(n)]
-    removed = [v for v in range(n) if degree[v] <= 1]
+    removed = list(compress(range(n), map((1).__ge__, degree)))
     trace = [n]
     pairs = []
     rounds = 0
@@ -64,11 +67,11 @@ def _run(nbrs, outside, max_rounds: int | None):
             if degree[v] == 0:
                 return DerivativeConflict("isolated", v, (), stage, tuple(trace))
             # Degree one: the one neighbour left is alive inside or beyond.
-            for w in nbrs[v]:
+            for w in neighbours(v):
                 if alive[w]:
                     break
             else:
-                w = outside[v][0]
+                w = beyond[v]
             u = forcer.setdefault(w, v)
             if u != v and (clash is None or w < clash[0]):
                 clash = (w, u, v)
@@ -91,7 +94,7 @@ def _run(nbrs, outside, max_rounds: int | None):
         # one or below reaches one exactly once.
         dropped = []
         for v in removed + even:
-            for w in nbrs[v]:
+            for w in neighbours(v):
                 if alive[w]:
                     degree[w] -= 1
                     if degree[w] == 1:
@@ -102,7 +105,8 @@ def _run(nbrs, outside, max_rounds: int | None):
 def derive(g: FiniteGraph, max_rounds: int | None = None):
     """Run the derivative on a finite graph. Returns DerivativeResult or
     DerivativeConflict."""
-    return _run(g.adjacency, [()] * g.vertex_count, max_rounds)
+    adjacency = g.adjacency  # every neighbour is inside: nothing lies beyond
+    return _run(list(map(len, adjacency)), adjacency.__getitem__, None, max_rounds)
 
 
 def derive_window(win: Window, max_rounds: int | None = None):
@@ -112,16 +116,26 @@ def derive_window(win: Window, max_rounds: int | None = None):
     count as present, so every pruning decision made here is also valid in the
     infinite tree. Vertices are named by window index; a forced partner one
     level beyond the window, by its index in the window one level deeper.
+    Each vertex's degree is read off its state; its neighbours are found
+    from child_start only when it is removed, so a window that no round
+    prunes builds no neighbour lists.
     """
     if win.depth < 2:
         raise ValueError("window derivative needs depth >= 2")
     # Window indices follow shortlex order: a vertex's parent comes before
     # it and its children, next to each other from child_start, after it.
-    first, boundary, n = win.child_start, win.boundary_start, len(win.states)
-    nbrs = [[] for _ in range(n)]
-    for v in range(boundary):
-        for w in range(first[v], first[v + 1]):
-            nbrs[v].append(w)
-            nbrs[w].append(v)
-    outside = [()] * boundary + [range(first[v], first[v + 1]) for v in range(boundary, n)]
-    return _run(nbrs, outside, max_rounds)
+    # A boundary vertex's children lie beyond the window, from child_start
+    # on, named by their indices in the window one level deeper.
+    tree, first, boundary = win.tree, win.child_start, win.boundary_start
+    full = {q: tree.branch_of(q) + 1 for q in tree.states}  # children and the parent
+    degree = list(map(full.__getitem__, win.states))
+    degree[0] -= 1  # the root has no parent
+
+    def inside(v):
+        # The parent is the last vertex whose children start at or before v.
+        out = [bisect_right(first, v) - 1] if v else []
+        if v < boundary:
+            out += range(first[v], first[v + 1])
+        return out
+
+    return _run(degree, inside, first, max_rounds)

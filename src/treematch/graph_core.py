@@ -139,12 +139,15 @@ class FiniteGraph:
         return cls(vertex_count, frozenset(canon))
 
     @cached_property
-    def adjacency(self) -> dict:
-        adj = {v: [] for v in range(self.vertex_count)}
-        for a, b in self.edges:
+    def adjacency(self) -> tuple:
+        """Each vertex's neighbours as an ascending tuple, at its id. One
+        pass over the sorted edges: a vertex meets its lower neighbours, in
+        order, before its own edges to higher ones."""
+        adj = [[] for _ in range(self.vertex_count)]
+        for a, b in sorted(self.edges):
             adj[a].append(b)
             adj[b].append(a)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+        return tuple(map(tuple, adj))
 
     def neighbors(self, v: int) -> tuple:
         return self.adjacency[v]

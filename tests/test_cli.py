@@ -1,10 +1,13 @@
 """Command-line interface: formats, exit codes, and frozen outputs."""
 
 import hashlib
+import re
 import time
+import tracemalloc
 
 import pytest
 
+from treematch import cli
 from treematch.presets import BATTERY, BATTERY_ENDS
 
 from conftest import cli_run, tree_text
@@ -250,6 +253,19 @@ class TestCounterexample:
             "43ad47103e43caa2f3c5d1541d9414326fc604a6c76bae471db80aec46010118"
         )
 
+    def test_dump_at_the_cap_is_copied_once(self):
+        # The output is joined once, with its trailing newline: the 22.9 MB
+        # dump is not copied a second time to add it.
+        tracemalloc.start()
+        try:
+            code, out, _ = cli_run(["counterexample", "--levels", "10"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.endswith("\n") and not out.endswith("\n\n")
+        assert peak <= 56 * 2**20, peak / 2**20
+
     @pytest.mark.parametrize("levels", ["-1", "11"])
     def test_level_bounds(self, levels):
         code, out, err = cli_run(["counterexample", "--levels", levels])
@@ -457,3 +473,26 @@ class TestDeterminism:
             second = cli_run(argv)
             assert first[0] == second[0], argv
             assert first[1] == second[1], argv
+            assert first[1].endswith("\n") and not first[1].endswith("\n\n"), argv
+
+    def test_one_parser_serves_every_run(self, files):
+        # The parser is built on the first run and reused: a run after usage
+        # errors, a capped dump, an exceeded budget and --help prints what
+        # the first run printed.
+        good = ["match-ends", "--tree", files["line.tree"], "--end", "|0", "--depth", "4"]
+        runtime = re.compile(r"runtime=\S+")
+        cli._build_parser.cache_clear()
+        first = cli_run(good)
+        assert first[0] == 0 and first[1]
+        assert cli_run(["match-rooted", "--depth", "3"])[0] == 2
+        assert cli_run(["counterexample", "--levels", "11"])[0] == 2
+        code, _, err = cli_run(
+            ["baire-sweep", "--tree", files["t3.tree"], "--seed", "/", "--budget", "1"]
+        )
+        assert code == 3 and "outcome=budget-exceeded" in err
+        code, out, _ = cli_run(["--help"])
+        assert code == 0 and out.startswith("usage: treematch")
+        last = cli_run(good)
+        assert last[:2] == first[:2]
+        assert runtime.sub("", last[2]) == runtime.sub("", first[2])
+        assert cli._build_parser.cache_info().misses == 1

@@ -1,6 +1,7 @@
 """Forced-edge pruning: forced matching extraction and degree-two cores."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -187,6 +188,8 @@ class TestDeriveWindow:
             # both results name each vertex alike.
             g, order = induced_tree_graph(t, win.paths)
             assert order == list(win.paths)
+            for max_rounds in (0, 1, 2):
+                assert derive_window(win, max_rounds) == derive(g, max_rounds), (step, max_rounds)
             got, want = derive_window(win), derive(g)
             assert got == want, step
             if isinstance(want, DerivativeConflict):
@@ -195,6 +198,21 @@ class TestDeriveWindow:
                 outcomes.add("perfect" if not want.core else "core")
             assert isinstance(got, DerivativeConflict) == (not has_perfect_matching(g))
         assert {"isolated", "double_forced", "perfect"} <= outcomes
+
+    def test_unpruned_window_stays_small(self):
+        # The 3-regular window at depth 14 (49,150 vertices) has no vertex of
+        # degree one, so no round runs: the run holds its degree and alive
+        # lists and the core, and builds no neighbour list.
+        win = BATTERY["three_regular"]().window(14)
+        assert win.child_start
+        tracemalloc.start()
+        try:
+            res = derive_window(win)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.rounds == 0 and len(res.core) == len(win.states)
+        assert peak <= 6 * 2**20, peak / 2**20
 
     def test_requires_depth_at_least_two(self):
         with pytest.raises(ValueError):

@@ -35,7 +35,12 @@ of commands on both sides:
   to 12 vertices plus 1 to 3 more edges, odd cycles among them):
   conflicts of both kinds, and cores;
 - the pair-system dump `counterexample --levels` at every level from 0 to
-  10, the CLI's cap.
+  10, the CLI's cap;
+- after each battery tree's runs, five runs that fail: an unknown
+  subcommand, `match-rooted` with no `--tree`, `counterexample --levels
+  11`, `match-ends --budget 0` and `derivative --tree --depth -1`. The
+  CLI builds its parser once per process, so these check that the parser
+  serves the runs after a failure as it served the runs before.
 
 Each side runs in one worker subprocess that imports treematch from that
 side's src/ and calls `treematch.cli.run` once per run, capturing stdout
@@ -44,10 +49,10 @@ compares the exit code, the sha256 of stdout and stderr with its
 `runtime=` and `pointwise=` values masked. It prints every run that
 differs and exits 1 if any does. Runs whose `pointwise=` count alone
 changed are counted by the exceptional-set kind that `match-ends` printed.
-It also counts, on this checkout's side, the `derivative` runs by outcome:
-each conflict kind, the `--tree` runs with a forced partner beyond the
-window, and the `--graph` runs that print a core. Standard library only,
-plus the git command line.
+It also counts, on this checkout's side, the runs that exit 2 and the
+`derivative` runs by outcome: each conflict kind, the `--tree` runs with a
+forced partner beyond the window, and the `--graph` runs that print a
+core. Standard library only, plus the git command line.
 """
 
 from __future__ import annotations
@@ -130,6 +135,16 @@ def tree_runs(path: Path, depth: int, end_groups, rewrite: Random) -> list:
     return runs
 
 
+def error_runs(path: Path) -> list:
+    """Runs that end in a usage error (exit 2): three rejected by the
+    parser, two by the command."""
+    t = ["--tree", str(path)]
+    return [["no-such-command"], ["match-rooted", "--depth", "3"],
+            ["counterexample", "--levels", str(MAX_DUMP_LEVELS + 1)],
+            ["match-ends", *t, "--end", "|0", "--budget", "0"],
+            ["derivative", *t, "--depth", "-1"]]
+
+
 def deep_runs(path: Path, depth: int, end_groups) -> list:
     d = ["--tree", str(path), "--depth", str(depth)]
     return [["match-rooted", *d], ["derivative", *d]] + [
@@ -173,6 +188,7 @@ def matrix(tree_dir: Path) -> list:
         path.write_text(tree_text(BATTERY[name]()))
         for depth in range(11):
             runs += tree_runs(path, depth, BATTERY_ENDS.get(name, []), rewrite)
+        runs += error_runs(path)
     rng = Random(11)
     for k in range(RANDOM_MACHINES):
         t, ends = random_machine(rng)
@@ -236,7 +252,8 @@ def main(argv=None) -> int:
                 print(f"  stderr {old_err.strip()!r}\n      -> {new_err.strip()!r}")
         elif RUNTIME.sub("", old[2]) != RUNTIME.sub("", new[2]):
             pointwise_only[new[3] or argv[0]] += 1
-    print(f"{len(runs)} runs, {differ} differ", end="")
+    usage_errors = sum(new[0] == 2 for new in change)
+    print(f"{len(runs)} runs, {differ} differ, {usage_errors} exit 2", end="")
     changed = ", ".join(f"{kind} {n}" for kind, n in sorted(pointwise_only.items()))
     print(f"; pointwise= alone changed on {sum(pointwise_only.values())}"
           + (f" ({changed})" if changed else ""))
