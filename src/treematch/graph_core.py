@@ -27,6 +27,11 @@ MAX_WINDOW_VERTICES = 200_000
 # paths, but its rendered names and a command's output grow with this sum:
 # on a thin tree, with the square of the depth.
 MAX_WINDOW_PATH_LENGTH = 4_000_000
+# Most steps an end's walk from the root takes before a (state, descriptor
+# phase) pair repeats. A walk can take |Q| times the descriptor's length,
+# and a line built along the end spans several of its periods: at this cap a
+# one-end matching takes about a second and 100 MB.
+MAX_END_WALK = 50_000
 
 
 def shortlex(path: TreeVertex) -> tuple:
@@ -474,24 +479,38 @@ class EndDescriptor:
         return f"{pre}|{per}"
 
 
+def end_states(t: AutomaticTree, e: EndDescriptor) -> tuple | None:
+    """One walk down the end's ray from the root. Returns (states, loop):
+    the state at each depth, up to where a (state, descriptor phase) pair
+    repeats, and the depth where that pair first occurred. From loop on the
+    states repeat with period len(states) - loop. None when some prefix of
+    the index sequence is not a vertex. A walk longer than MAX_END_WALK
+    steps raises BudgetExceededError."""
+    rows, q = t._child_states, t.root_state
+    pre_len, per_len = len(e.preperiod), len(e.period)
+    states: list = []
+    seen: dict = {}
+    for d in itertools.count():
+        key = (q, d if d < pre_len else pre_len + (d - pre_len) % per_len)
+        if key in seen:
+            return states, seen[key]
+        if d == MAX_END_WALK:
+            raise BudgetExceededError(
+                f"an end with preperiod length {pre_len} and period length {per_len} "
+                f"repeats no (state, phase) pair within {MAX_END_WALK} steps"
+            )
+        seen[key] = d
+        states.append(q)
+        row = rows[q]
+        i = e.index(d)
+        if i >= len(row):
+            return None
+        q = row[i]
+
+
 def validate_end(t: AutomaticTree, e: EndDescriptor) -> bool:
     """True iff every prefix of the end's index sequence is a valid vertex."""
-    q = t.root_state
-    seen = set()
-    i = 0
-    pre_len = len(e.preperiod)
-    per_len = len(e.period)
-    while True:
-        if i >= pre_len:
-            key = (q, (i - pre_len) % per_len)
-            if key in seen:
-                return True
-            seen.add(key)
-        idx = e.index(i)
-        if idx >= t.branch_of(q):
-            return False
-        q = t.step(q, idx)
-        i += 1
+    return end_states(t, e) is not None
 
 
 def divergence_length(a: EndDescriptor, b: EndDescriptor) -> int | None:
@@ -516,81 +535,32 @@ def ends_equivalent(t: AutomaticTree, a: EndDescriptor, b: EndDescriptor) -> boo
     return divergence_length(a, b) is None
 
 
-def _descend_ok(t: AutomaticTree) -> set:
-    """Product nodes (state, parity) admitting an infinite descending path on
-    which every even-parity vertex has total degree exactly two (as a
-    non-root vertex: branch one)."""
-    alive = set()
-    for q in t.states:
-        for p in (0, 1):
-            if p == 1 or t.branch_of(q) == 1:
-                alive.add((q, p))
-    changed = True
-    while changed:
-        changed = False
-        for node in sorted(alive):
-            q, p = node
-            if not any(
-                (t.step(q, i), 1 - p) in alive for i in range(t.branch_of(q))
-            ):
-                alive.discard(node)
-                changed = True
-    return alive
-
-
 def has_bad_ray(t: AutomaticTree) -> bool:
     """True iff some injective ray (any start, any direction) has degree
     exactly two at every even index.
 
-    Any such ray eventually descends, so it has the shape: climb k steps from
-    the start toward the root, bend, then descend forever. The descent is a
-    lasso search on (state, parity); climbs are handled by a DP whose length
-    is bounded by pigeonhole on (state, parity) pairs.
-    """
-    descend = _descend_ok(t)
-    root = t.root_state
-    non_root = t.non_root_states
-
-    # k = 0, ray starts at the root and descends.
-    if t.branch_of(root) == 2 and any(
-        (t.step(root, i), 1) in descend for i in range(2)
-    ):
-        return True
-    # k = 0, ray starts at a non-root vertex of degree two and descends.
-    for q in sorted(non_root):
-        if t.branch_of(q) == 1 and (t.step(q, 0), 1) in descend:
-            return True
-
-    def bend_at(q: str, k: int, indices: range) -> bool:
-        down_parity = (k + 1) % 2
-        chain = [i for i in indices if a_prev[t.step(q, i)]]
-        desc = [i for i in indices if (t.step(q, i), down_parity) in descend]
-        if not chain or not desc:
-            return False
-        return not (len(chain) == 1 and chain == desc)
-
-    # Climb DP: a_prev[q] says a valid climb chain of the current length can
-    # hang below a vertex in state q (the chain's top is at ray index t).
-    a_prev = {q: t.branch_of(q) == 1 for q in t.states}  # chains of length 1 (index 0)
-    limit = 2 * len(t.states) + 2
-    for k in range(1, limit + 1):
-        # Bend at a non-root vertex: needs two distinct children (chain and
-        # descent), impossible at even k where degree two allows one child.
-        if k % 2 == 1:
-            for q in sorted(non_root):
-                if bend_at(q, k, range(t.branch_of(q))):
-                    return True
-        if k % 2 == 1 or t.branch_of(root) == 2:
-            if bend_at(root, k, range(t.branch_of(root))):
-                return True
-        a_next = {}
-        for q in t.states:
-            ok = True
-            if (k % 2) == 0 and t.branch_of(q) != 1:
-                # Ray index k is even: the climb vertex needs degree two.
-                ok = False
-            a_next[q] = ok and any(
-                a_prev[t.step(q, i)] for i in range(t.branch_of(q))
-            )
-        a_prev = a_next
-    return False
+    Such a ray climbs finitely many steps toward the root and then descends
+    forever, and its descending part, from the first or the second vertex
+    below the turn, is again such a ray. So a bad ray exists iff some
+    infinite descending path has branch one at every other vertex: start
+    the ray at one of those past the path's first vertex, which is not the
+    root and so has degree two. These paths are the infinite paths through
+    nodes (state, parity), where parity 0 needs branch one and a node steps
+    to (child state, other parity). The pass removes each node whose
+    successors are all removed, counting each node's live successors; a
+    node is left iff an infinite path starts at it."""
+    rows = t._child_states
+    live = {(q, p): 0 for q in t.states for p in (0, 1) if p or len(rows[q]) == 1}
+    preds: dict = {node: [] for node in live}
+    for q, p in live:
+        for r in rows[q]:
+            if (r, 1 - p) in live:
+                live[(q, p)] += 1
+                preds[(r, 1 - p)].append((q, p))
+    dead = [node for node, n in live.items() if not n]
+    for node in dead:
+        for pred in preds[node]:
+            live[pred] -= 1
+            if not live[pred]:
+                dead.append(pred)
+    return len(dead) < len(live)

@@ -59,6 +59,7 @@ from .graph_core import (
     TreeVertex,
     Window,
     divergence_length,
+    end_states,
     has_bad_ray,
     render_path,
     validate_end,
@@ -388,40 +389,30 @@ class EndsOutput:
 
 class _TailFlags:
     """The states along an end below a start depth, one per tail position
-    j >= 1, walked until a (state, descriptor phase) key repeats; from there
-    on they repeat with period. A position is flagged when its vertex has a
-    child off the end (branch >= 2)."""
+    j >= 1, read from the end's walk from the root (graph_core.end_states):
+    positions past pre repeat with period. A position is flagged when its
+    vertex has a child off the end (branch >= 2)."""
 
     def __init__(self, t: AutomaticTree, e: EndDescriptor, start_depth: int):
-        q = t.state_of(e.prefix(start_depth))
-        pre_len, per_len = len(e.preperiod), len(e.period)
-        states = [None]  # index 0 unused
-        seen: dict = {}
-        d = start_depth
-        while True:
-            q = t.step(q, e.index(d))
-            d += 1
-            key = (q, d if d < pre_len else pre_len + (d - pre_len) % per_len)
-            if key in seen:
-                break
-            seen[key] = len(states)
-            states.append(q)
-        self.pre = seen[key] - 1
-        self.period = len(states) - seen[key]
-        self.states = states  # positions 1 .. pre+period
-        self.flags = [False] + [t.branch_of(q) >= 2 for q in states[1:]]
-        self.cycle_any = any(self.flags[self.pre + 1 :])
+        self.states, self.loop = end_states(t, e)
+        self.start = start_depth
+        self.pre = max(0, self.loop - start_depth - 1)
+        self.period = len(self.states) - self.loop
+        self.flags = [t.branch_of(q) >= 2 for q in self.states]
+        self.cycle_any = any(self.flags[self.loop :])
 
-    def _index(self, j: int) -> int:
-        if j <= self.pre + self.period:
-            return j
-        return self.pre + 1 + (j - self.pre - 1) % self.period
+    def _depth(self, j: int) -> int:
+        """The walk index of tail position j; j = 0 is the start itself."""
+        d = self.start + j
+        if d < len(self.states):
+            return d
+        return self.loop + (d - self.loop) % self.period
 
     def state(self, j: int) -> str:
-        return self.states[self._index(j)]
+        return self.states[self._depth(j)]
 
     def flag(self, j: int) -> bool:
-        return self.flags[self._index(j)]
+        return self.flags[self._depth(j)]
 
 
 class _Line:
@@ -443,7 +434,7 @@ class _Line:
         self._e1_turn = e1.index(m_len)  # the first end's index below m
         self.side1 = _TailFlags(t, e1, m_len)
         self.side2 = _TailFlags(t, e2, m_len)
-        self.state_m = t.state_of(self.m)
+        self.state_m = self.side1.state(0)
         if self.m == ROOT:
             self.a0 = t.branch_of(self.state_m) >= 3
         else:

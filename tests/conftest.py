@@ -56,6 +56,14 @@ def random_machine(rng):
             return t, ends
 
 
+def cyclic_chain(n: int) -> AutomaticTree:
+    """States s0 .. s(n-1) in a cycle, each with two children in the next
+    state: the binary tree, spelled with n states. It has no bad ray, and an
+    end's walk on it repeats only after |Q| times its period's length."""
+    return AutomaticTree.build("s0", {f"s{i}": 2 for i in range(n)},
+                               {(f"s{i}", k): f"s{(i + 1) % n}" for i in range(n) for k in (0, 1)})
+
+
 def equivalent_descriptor(text: str, rng) -> str:
     """Another descriptor of the same ray: unroll the period into the
     preperiod some times, and maybe double the period."""

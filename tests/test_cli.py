@@ -8,9 +8,10 @@ import tracemalloc
 import pytest
 
 from treematch import cli
+from treematch.graph_core import MAX_END_WALK
 from treematch.presets import BATTERY, BATTERY_ENDS
 
-from conftest import cli_run, tree_text
+from conftest import cli_run, cyclic_chain, tree_text
 
 P3 = "graph 3\ne 0 1\ne 1 2\n"
 P4 = "graph 4\ne 0 1\ne 1 2\ne 2 3\n"
@@ -52,6 +53,7 @@ ROOTED_T3 = (
 )
 ENDS_LINE = "ends 2\nbset line\nb /\nb 0\nb 1\nb 0/0\nb 1/0\nb 0/0/0\nb 1/0/0\n"
 ENDS_T3 = "ends 1\nbset empty\n" + ROOTED_T3
+ENDS_CHAIN = "ends 2\nbset empty\nm / 0\nm 1 1/0\nm 0/0 0/0/1\nm 0/1 0/1/0\nm 1/1 1/1/0\n"
 ENDS_LINE_DEDUP = (
     "ends 1\nbset injective-part\n"
     "b /\nb 0\nb 1\nb 0/0\nb 1/0\nb 0/0/0\nb 1/0/0\n"
@@ -188,6 +190,30 @@ class TestMatchEnds:
         )
         assert code == 0
         assert out == ENDS_LINE_DEDUP
+
+    def test_two_ends_on_a_large_machine(self, tmp_path):
+        chain = tmp_path / "chain.tree"
+        chain.write_text(tree_text(cyclic_chain(1500)))
+        code, out, err = cli_run(
+            ["match-ends", "--tree", str(chain), "--end", "|0", "--end", "|1", "--depth", "2"]
+        )
+        assert code == 0
+        assert out == ENDS_CHAIN
+        assert "Traceback" not in err
+
+    def test_end_walk_over_the_cap_exits_3(self, tmp_path):
+        # The walk along this end repeats a (state, phase) pair only after
+        # 1,500 x 1,999 steps; it stops at the cap instead.
+        chain = tmp_path / "chain.tree"
+        chain.write_text(tree_text(cyclic_chain(1500)))
+        end = "|" + "0," * 1998 + "1"
+        start = time.monotonic()
+        code, out, err = cli_run(["match-ends", "--tree", str(chain), "--end", end, "--depth", "2"])
+        assert time.monotonic() - start < 1
+        assert code == 3
+        assert out == ""
+        assert "outcome=budget-exceeded" in err and f"within {MAX_END_WALK} steps" in err
+        assert "Traceback" not in err
 
     def test_malformed_end_descriptor(self, files):
         code, out, err = cli_run(

@@ -8,9 +8,10 @@ from random import Random
 
 import pytest
 
+from treematch.graph_core import AutomaticTree
 from treematch.presets import BATTERY, BATTERY_ENDS
 
-from conftest import cli_run, tree_text
+from conftest import cli_run, cyclic_chain, tree_text
 
 GRAPHS = [
     "graph 3\ne 0 1\ne 1 2\n",
@@ -95,6 +96,35 @@ def test_mutated_inputs_end_with_a_documented_exit_code(tmp_path, command):
         codes.add(code)
     # The mutations reach past the parser: some runs finish.
     assert 0 in codes and 2 in codes, codes
+
+
+def large_machine(rng: Random) -> AutomaticTree:
+    """A machine of 100 to 800 states, each with 1 to 3 children in random
+    states, or the cyclic chain, whose ends' walks can outrun the cap."""
+    n = rng.randint(100, 800)
+    if rng.random() < 0.3:
+        return cyclic_chain(n)
+    branch = {f"s{i}": rng.randint(1, 3) for i in range(n)}
+    branch["s0"] = rng.randint(2, 3)
+    step = {(q, i): f"s{rng.randrange(n)}" for q in branch for i in range(branch[q])}
+    return AutomaticTree.build("s0", branch, step)
+
+
+def test_match_ends_on_large_machines_ends_with_a_documented_exit_code(tmp_path):
+    rng = Random("cli-fuzz:large")
+    long_end = "|" + "0," * 70 + "1"
+    codes = set()
+    for _ in range(12):
+        tree = write(tmp_path, "large.tree", tree_text(large_machine(rng)))
+        for _ in range(3):
+            ends = [rng.choice(ENDS + [long_end]) for _ in range(rng.randint(1, 3))]
+            argv = ["match-ends", "--tree", tree, *(a for e in ends for a in ("--end", e)),
+                    "--depth", str(rng.randint(0, 4))]
+            code, _, err = cli_run(argv)
+            assert code in (0, 1, 2, 3), (argv, code)
+            assert "Traceback" not in err, (argv, err)
+            codes.add(code)
+    assert 0 in codes, codes
 
 
 def test_mutated_levels_end_with_a_documented_exit_code():

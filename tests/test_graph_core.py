@@ -1,6 +1,7 @@
 """Paths, matchings, finite graphs, branching machines, ends, bad rays."""
 
 import math
+import time
 from random import Random
 
 import pytest
@@ -20,10 +21,14 @@ from treematch import (
     validate_end,
 )
 from treematch.errors import BudgetExceededError, FormatError
-from treematch.graph_core import MAX_WINDOW_PATH_LENGTH, MAX_WINDOW_VERTICES, divergence_length
+from treematch.graph_core import (
+    MAX_END_WALK, MAX_WINDOW_PATH_LENGTH, MAX_WINDOW_VERTICES, divergence_length,
+)
 from treematch.presets import BAD_RAY_TRUTH, BATTERY, path_graph, star_graph
 
-from conftest import induced_tree_graph, longest_window_bad_path
+from conftest import (
+    cyclic_chain, induced_tree_graph, longest_window_bad_path, random_machine, tree_text,
+)
 
 paths = st.lists(st.integers(min_value=0, max_value=9), max_size=8).map(tuple)
 
@@ -320,6 +325,16 @@ class TestEnds:
         # only the root has a third child, so the periodic part cannot use 2
         assert not validate_end(t, EndDescriptor.parse("|2"))
 
+    def test_validate_end_caps_the_steps_walked(self):
+        # |Q| x period is 1,500 x 40 steps, over the cap, but the walk
+        # repeats a (state, phase) pair after lcm(1500, 40) = 3,000.
+        t = cyclic_chain(1500)
+        assert 1500 * 40 > MAX_END_WALK
+        assert validate_end(t, EndDescriptor((), (0,) * 39 + (1,)))
+        # With a period of 1,999 it repeats only after 2,998,500 steps.
+        with pytest.raises(BudgetExceededError):
+            validate_end(t, EndDescriptor((), (0,) * 1998 + (1,)))
+
     def test_equivalence_examples(self):
         t = BATTERY["binary"]()
         a = EndDescriptor.parse("0|1")
@@ -356,9 +371,20 @@ class TestBadRay:
 
     def test_agrees_with_exhaustive_window_search(self):
         # A long degree-alternating path in a deep window certifies a bad
-        # ray for these presets, and its absence refutes one: trees without
-        # bad rays here have no such path beyond two vertices.
+        # ray for these presets and small random machines, and its absence
+        # refutes one: trees without bad rays here have no such path beyond
+        # two vertices.
         for name, build in BATTERY.items():
             t = build()
             longest = longest_window_bad_path(t, depth=8, cap=7)
             assert (longest >= 7) == BAD_RAY_TRUTH[name], (name, longest)
+        rng = Random(3)
+        for _ in range(110):
+            t, _ = random_machine(rng)
+            assert (longest_window_bad_path(t, depth=8, cap=7) >= 7) == has_bad_ray(t), tree_text(t)
+
+    def test_linear_in_the_machine(self):
+        # Work quadratic in |Q| would take many seconds at this size.
+        start = time.monotonic()
+        assert not has_bad_ray(cyclic_chain(3000))
+        assert time.monotonic() - start < 2

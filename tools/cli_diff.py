@@ -24,6 +24,9 @@ of commands on both sides:
   ones above (`DEEP_WINDOWS`): the 3-regular tree and the two combs at
   depths 12 and 14, the benchmark's sizes, and the line at depth 1999, the
   deepest that the window caps allow;
+- `match-rooted` and `match-ends` with the ends `|0` and `|1` at depth 2 on
+  a machine with many states: the cyclic chain of 1,500 branch-2 states
+  (`cyclic_chain` of tests/conftest.py);
 - `derivative --tree` on 100 seeded finite layered machines (2 to 5
   states, each branching 1 to 3 ways into higher-numbered states, the last
   one a leaf), at depths 2 to 6: windows that cut the finite tree, with
@@ -71,7 +74,7 @@ from bench_json import ROOT, export, git
 
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import equivalent_descriptor, random_machine, tree_text  # noqa: E402
+from conftest import cyclic_chain, equivalent_descriptor, random_machine, tree_text  # noqa: E402
 from treematch.cli import MAX_DUMP_LEVELS  # noqa: E402
 from treematch.enumeration import all_trees, random_forest  # noqa: E402
 from treematch.graph_core import AutomaticTree, FiniteGraph  # noqa: E402
@@ -87,6 +90,7 @@ RANDOM_FORESTS = 200
 CYCLIC_GRAPHS = 100
 DEEP_WINDOWS = {"three_regular": (12, 14), "odd_comb": (12, 14), "even_comb": (12, 14),
                 "line": (1999,)}
+CHAIN_STATES = 1500
 
 # Runs treematch.cli.run on each JSON argv line of stdin, from the src/
 # directory given as its argument, and writes one JSON result line each:
@@ -204,6 +208,10 @@ def matrix(tree_dir: Path) -> list:
     for name, depths in DEEP_WINDOWS.items():
         for depth in depths:
             runs += deep_runs(tree_dir / f"{name}.tree", depth, BATTERY_ENDS[name])
+    path = tree_dir / "chain.tree"
+    path.write_text(tree_text(cyclic_chain(CHAIN_STATES)))
+    d = ["--tree", str(path), "--depth", "2"]
+    runs += [["match-rooted", *d], ["match-ends", *d, "--end", "|0", "--end", "|1"]]
     graphs = [g for n in TREE_ORDERS for g in all_trees(n)]
     rng = Random(13)
     graphs += [random_forest(rng) for _ in range(RANDOM_FORESTS)]
